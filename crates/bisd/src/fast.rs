@@ -266,12 +266,11 @@ impl FastScheme {
         assert!(!memories.is_empty(), "diagnosis needs at least one memory");
         let configs: Vec<MemConfig> = memories.iter().map(|(_, m)| m.config()).collect();
         let population = self.plan_population(&configs);
-        let worker_results: Vec<Result<SegmentOutcome, MemError>> =
-            plan.with_domain(CostDomain::Diagnosis).run_segments(
-                memories,
-                |index, _| population.member_cost(index),
-                |base, segment| population.run_segment(base, segment),
-            );
+        let worker_results: Vec<Result<SegmentOutcome, MemError>> = plan.run_segments(
+            memories,
+            |index, _| population.member_cost(index),
+            |base, segment| population.run_segment(base, segment),
+        );
         let mut outcomes = Vec::with_capacity(worker_results.len());
         for result in worker_results {
             outcomes.push(result?);
@@ -317,13 +316,12 @@ impl FastScheme {
         assert!(!memories.is_empty(), "diagnosis needs at least one memory");
         let configs: Vec<MemConfig> = memories.iter().map(|(_, m)| m.config()).collect();
         let population = self.plan_population(&configs);
-        let worker_results: Vec<Result<SegmentOutcome, MemError>> =
-            plan.with_domain(CostDomain::Diagnosis).try_run_segments(
-                token,
-                memories,
-                |index, _| population.member_cost(index),
-                |base, segment| population.run_segment(base, segment),
-            )?;
+        let worker_results: Vec<Result<SegmentOutcome, MemError>> = plan.try_run_segments(
+            token,
+            memories,
+            |index, _| population.member_cost(index),
+            |base, segment| population.run_segment(base, segment),
+        )?;
         let mut outcomes = Vec::with_capacity(worker_results.len());
         for result in worker_results {
             outcomes.push(result?);
@@ -422,7 +420,6 @@ impl FastScheme {
             bit_parallel,
             cycles,
             pause_ms,
-            calibration: CostCalibration::current(),
         }
     }
 
@@ -492,8 +489,7 @@ pub struct SegmentOutcome {
 /// The controller's population-global planning for one diagnosis run,
 /// built once by [`FastScheme::plan_population`]: the schedule, the
 /// per-element serially delivered pattern words, the closed-form
-/// Eq. (2) cycle/pause accounting, the kernel decision and the active
-/// cost calibration.
+/// Eq. (2) cycle/pause accounting and the kernel decision.
 ///
 /// The plan is segment-agnostic: any contiguous slice of the population
 /// replays through [`PopulationPlan::run_segment`] (each segment builds
@@ -515,7 +511,6 @@ pub struct PopulationPlan {
     bit_parallel: bool,
     cycles: u64,
     pause_ms: f64,
-    calibration: CostCalibration,
 }
 
 impl PopulationPlan {
@@ -539,8 +534,7 @@ impl PopulationPlan {
     /// executor's cost-weighted and stealing strategies; influences
     /// shard boundaries only, never results.
     pub fn member_cost(&self, index: usize) -> u64 {
-        self.calibration
-            .cost(CostDomain::Diagnosis, self.configs[index].width() as u64)
+        CostCalibration::MEASURED.cost(CostDomain::Diagnosis, self.configs[index].width() as u64)
     }
 
     /// Replays the planned schedule over one contiguous population

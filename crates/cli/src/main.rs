@@ -16,11 +16,11 @@
 //! `ESRAM_SPEC_OUT` environment knob, which beats the spec's own
 //! `[report] dir`, which beats the default `esram-out/<name>`. The
 //! executor knobs (`ESRAM_DIAG_THREADS`, `ESRAM_DIAG_SCHED`,
-//! `ESRAM_DIAG_KERNEL`, `ESRAM_FAULTSIM_KERNEL`, `ESRAM_COST_CALIB`)
-//! are inherited from the environment exactly as every other harness in
-//! the workspace inherits them — and the report bytes are identical
-//! under all of them. A spec's `[execution] faultsim_kernel` pins the
-//! fault-sim kernel over the ambient knob for its run.
+//! `ESRAM_DIAG_KERNEL`, `ESRAM_FAULTSIM_KERNEL`) are inherited from the
+//! environment exactly as every other harness in the workspace inherits
+//! them — and the report bytes are identical under all of them. A
+//! spec's `[execution] faultsim_kernel` is recorded in the report; `run`
+//! performs no fault simulation, so the value never changes the run.
 //!
 //! Exit codes: 0 success, 1 spec/run failure (including any failed job
 //! in the report), 2 usage error.
@@ -85,7 +85,12 @@ fn compile(args: &[String]) -> Result<(), CliError> {
         plan.scheme.kind_name(),
         plan.scheme.clock_ns()
     );
-    let cells: u64 = plan.jobs.first().map(|job| job.total_cells()).unwrap_or(0);
+    let cells = match plan.jobs.first() {
+        Some(job) => job
+            .total_cells()
+            .ok_or_else(|| CliError::Failure("the job's cell count overflows u64".to_string()))?,
+        None => 0,
+    };
     println!(
         "jobs: {} ({} memories, {} cells each)",
         plan.jobs.len(),
@@ -112,14 +117,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let spec = load_spec(spec_path)?;
     let plan = spec.compile();
     let out_dir = resolve_out_dir(&plan.name, plan.report.dir.as_deref(), out_flag);
-
-    // A spec-pinned fault-sim kernel overrides the ambient knob for the
-    // whole run: the simulator reads it at construction, so pinning the
-    // process environment (still single-threaded here) is exactly the
-    // inherit path with the spec's value in place.
-    if let Some(kernel) = plan.faultsim_kernel {
-        std::env::set_var(esram_exec::FAULTSIM_KERNEL_ENV, kernel.to_string());
-    }
 
     let shard = ShardPlan::from_env();
     let started = Instant::now();

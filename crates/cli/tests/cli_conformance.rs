@@ -193,6 +193,7 @@ fn malformed_specs_fail_with_span_bearing_errors() {
         "invalid/unknown_scheme.toml",
         "invalid/trailing_garbage.toml",
         "invalid/unknown_faultsim_kernel.toml",
+        "invalid/cell_overflow.toml",
     ] {
         let output = esram(&["compile", example(spec).to_str().unwrap()], &[]);
         assert_eq!(output.status.code(), Some(1), "{spec} must exit 1: {output:?}");

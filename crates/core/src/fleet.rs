@@ -22,7 +22,7 @@
 //!    batched build is bit-identical to each job building alone.
 //! 2. **Plan** — each job's [`FastScheme`] plans its population once
 //!    ([`FastScheme::plan_population`]): schedule, delivered patterns,
-//!    Eq. (2) cycle accounting, kernel decision, calibration snapshot.
+//!    Eq. (2) cycle accounting, kernel decision.
 //!    Planning is controller work, independent of sharding.
 //! 3. **Diagnose** — every memory of every job becomes one item of a
 //!    single [`run_segments`](ShardPlan::run_segments) run, weighted
@@ -38,8 +38,8 @@
 //! sequence number regardless of where segment boundaries fell — so
 //! each job's [`DiagnosisResult`] is byte-identical to what
 //! [`FastScheme::diagnose_with`] produces for that job alone, under
-//! any plan. Calibration (measured, hand-tuned or online) moves only
-//! the shard *boundaries*, never the results. The fleet determinism
+//! any plan. The cost table moves only the shard *boundaries*, never
+//! the results. The fleet determinism
 //! suite asserts both properties across strategies, worker counts and
 //! kernels.
 //!
@@ -135,12 +135,11 @@ impl FleetPlan {
     /// Calibrated build cost of every flattened member, in global item
     /// order — the weights of the batched build phase.
     pub fn build_costs(&self) -> Vec<u64> {
-        let calibration = CostCalibration::current();
         self.members
             .iter()
             .map(|&(job, member)| {
                 let cells = self.jobs[job].builder.member_configs()[member].cells();
-                calibration.cost(CostDomain::SocBuild, cells)
+                CostCalibration::MEASURED.cost(CostDomain::SocBuild, cells)
             })
             .collect()
     }
@@ -419,16 +418,14 @@ impl FleetRunner {
                 (0..fleet_job.builder.member_configs().len()).map(move |member| (job, member))
             })
             .collect();
-        let calibration = CostCalibration::current();
         let built = self
             .shard
-            .with_domain(CostDomain::SocBuild)
             .map_slots_isolated(
                 &self.token,
                 &members,
                 |_, &(job, member)| {
                     let cells = jobs[job].builder.member_configs()[member].cells();
-                    calibration.cost(CostDomain::SocBuild, cells)
+                    CostCalibration::MEASURED.cost(CostDomain::SocBuild, cells)
                 },
                 || (),
                 |_, _, &(job, member)| {
@@ -492,7 +489,6 @@ impl FleetRunner {
         }
         let groups: Vec<Vec<(usize, Result<SegmentOutcome, ChunkFault>)>> = self
             .shard
-            .with_domain(CostDomain::Diagnosis)
             .try_run_segments(
                 &self.token,
                 &mut slots,
@@ -638,20 +634,18 @@ impl FleetRunner {
             .iter()
             .map(|fleet_job| fleet_job.builder.defect_profile())
             .collect();
-        let calibration = CostCalibration::current();
-        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> =
-            self.shard.with_domain(CostDomain::SocBuild).map_slots(
-                &plan.members,
-                |_, &(job, member)| {
-                    let cells = plan.jobs[job].builder.member_configs()[member].cells();
-                    calibration.cost(CostDomain::SocBuild, cells)
-                },
-                || (),
-                |_, _, &(job, member)| {
-                    let builder = plan.jobs[job].builder();
-                    builder.build_member(&profiles[job], member, builder.member_configs()[member])
-                },
-            );
+        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> = self.shard.map_slots(
+            &plan.members,
+            |_, &(job, member)| {
+                let cells = plan.jobs[job].builder.member_configs()[member].cells();
+                CostCalibration::MEASURED.cost(CostDomain::SocBuild, cells)
+            },
+            || (),
+            |_, _, &(job, member)| {
+                let builder = plan.jobs[job].builder();
+                builder.build_member(&profiles[job], member, builder.member_configs()[member])
+            },
+        );
         let mut socs: Vec<Vec<MemoryUnderDiagnosis>> = plan.jobs.iter().map(|_| Vec::new()).collect();
         for (&(job, _), member) in plan.members.iter().zip(built) {
             socs[job].push(member?);
@@ -706,26 +700,25 @@ impl FleetRunner {
         // several jobs; each job-contiguous chunk replays through its
         // own population plan with the chunk's first member index as
         // the segment base.
-        let groups: Vec<Vec<(usize, Result<SegmentOutcome, MemError>)>> =
-            self.shard.with_domain(CostDomain::Diagnosis).run_segments(
-                &mut slots,
-                |_, slot| populations[slot.job].member_cost(slot.member),
-                |_, segment| {
-                    let mut outcomes = Vec::new();
-                    let mut rest = segment;
-                    while !rest.is_empty() {
-                        let job = rest[0].job;
-                        let len = rest.iter().take_while(|slot| slot.job == job).count();
-                        let (chunk, tail) = rest.split_at_mut(len);
-                        let base = chunk[0].member;
-                        let mut pairs: Vec<(MemoryId, &mut Sram)> =
-                            chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
-                        outcomes.push((job, populations[job].run_segment(base, &mut pairs)));
-                        rest = tail;
-                    }
-                    outcomes
-                },
-            );
+        let groups: Vec<Vec<(usize, Result<SegmentOutcome, MemError>)>> = self.shard.run_segments(
+            &mut slots,
+            |_, slot| populations[slot.job].member_cost(slot.member),
+            |_, segment| {
+                let mut outcomes = Vec::new();
+                let mut rest = segment;
+                while !rest.is_empty() {
+                    let job = rest[0].job;
+                    let len = rest.iter().take_while(|slot| slot.job == job).count();
+                    let (chunk, tail) = rest.split_at_mut(len);
+                    let base = chunk[0].member;
+                    let mut pairs: Vec<(MemoryId, &mut Sram)> =
+                        chunk.iter_mut().map(|slot| (slot.id, &mut *slot.sram)).collect();
+                    outcomes.push((job, populations[job].run_segment(base, &mut pairs)));
+                    rest = tail;
+                }
+                outcomes
+            },
+        );
 
         // Segments come back in item order and chunks within a segment
         // preserve it too, so each job's outcomes land in member order

@@ -155,14 +155,12 @@ impl SocBuilder {
             return Err(MemError::InvalidConfig { words: 0, width: 0 });
         }
         let profile = self.defect_profile();
-        let calibration = CostCalibration::current();
-        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> =
-            plan.with_domain(CostDomain::SocBuild).map_slots(
-                &self.configs,
-                |_, config| calibration.cost(CostDomain::SocBuild, config.cells()),
-                || (),
-                |_, index, &config| self.build_member(&profile, index, config),
-            );
+        let built: Vec<Result<MemoryUnderDiagnosis, MemError>> = plan.map_slots(
+            &self.configs,
+            |_, config| CostCalibration::MEASURED.cost(CostDomain::SocBuild, config.cells()),
+            || (),
+            |_, index, &config| self.build_member(&profile, index, config),
+        );
         let mut memories = Vec::with_capacity(built.len());
         for member in built {
             memories.push(member?);

@@ -187,21 +187,18 @@ proptest! {
             })
             .collect();
         let baseline = serial_baseline(&jobs);
-        // Three of the nine strategy × thread combos per case; the
+        // Three of the six strategy × thread combos per case; the
         // cases jointly cover the grid (same rotation idiom as the
         // SoC-build determinism suite).
         let combos = [
-            (ShardStrategy::Even, 2usize),
-            (ShardStrategy::Cost, 7),
+            (ShardStrategy::Cost, 7usize),
             (ShardStrategy::Steal, 32),
             (ShardStrategy::Steal, 2),
-            (ShardStrategy::Even, 7),
             (ShardStrategy::Cost, 32),
             (ShardStrategy::Cost, 2),
             (ShardStrategy::Steal, 7),
-            (ShardStrategy::Even, 32),
         ];
-        let rotation = (grid_seed % 3) as usize * 3;
+        let rotation = (grid_seed % 2) as usize * 3;
         for &(strategy, threads) in combos[rotation..rotation + 3].iter() {
             let plan = ShardPlan::with_threads(threads)
                 .with_strategy(strategy)

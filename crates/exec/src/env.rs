@@ -11,8 +11,8 @@
 //! configuration while claiming to test the right one.
 //!
 //! The knobs themselves live next to the subsystems they configure
-//! ([`crate::plan::THREADS_ENV`], [`crate::plan::SCHED_ENV`],
-//! [`crate::calibrate::CALIB_ENV`], and `bisd`'s `ESRAM_DIAG_KERNEL`);
+//! ([`crate::plan::THREADS_ENV`], [`crate::plan::SCHED_ENV`] and
+//! `bisd`'s `ESRAM_DIAG_KERNEL`);
 //! they all parse through [`parse_knob`] / [`read_knob`] so a new knob
 //! cannot re-introduce a bespoke (and subtly different) fallback path.
 //! The march fault-simulation kernel selector ([`FAULTSIM_KERNEL_ENV`])

@@ -12,7 +12,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::calibrate::CostDomain;
 use crate::env::{self, EnvFallback};
 
 /// Environment variable overriding the default worker count used by
@@ -21,9 +20,9 @@ use crate::env::{self, EnvFallback};
 pub const THREADS_ENV: &str = "ESRAM_DIAG_THREADS";
 
 /// Environment variable overriding the default scheduling strategy used
-/// by [`ShardPlan::from_env`]: `even`, `cost` or `steal`
-/// (case-insensitive). Unrecognised values fall back to the default
-/// ([`ShardStrategy::Cost`]).
+/// by [`ShardPlan::from_env`]: `cost` or `steal` (case-insensitive).
+/// Unrecognised values — including the retired `even` — fall back to
+/// the default ([`ShardStrategy::Cost`]) with a warning.
 pub const SCHED_ENV: &str = "ESRAM_DIAG_SCHED";
 
 /// Default block size for [`ShardStrategy::Steal`]: small enough that a
@@ -38,9 +37,6 @@ pub const DEFAULT_BLOCK_SIZE: usize = 16;
 /// when item costs are heterogeneous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardStrategy {
-    /// Contiguous chunks of equal item *count* (the pre-executor
-    /// behaviour). Loses when expensive items cluster.
-    Even,
     /// Contiguous chunks of balanced estimated *cost*: boundaries are
     /// computed once from prefix sums of the caller's per-item costs,
     /// so the partition is a pure function of the item list and the
@@ -55,11 +51,10 @@ pub enum ShardStrategy {
 }
 
 impl ShardStrategy {
-    /// Parses an environment-variable value (`even` / `cost` / `steal`,
+    /// Parses an environment-variable value (`cost` / `steal`,
     /// case-insensitive, surrounding whitespace ignored).
     pub fn parse(raw: &str) -> Option<Self> {
         match raw.trim().to_ascii_lowercase().as_str() {
-            "even" => Some(ShardStrategy::Even),
             "cost" => Some(ShardStrategy::Cost),
             "steal" => Some(ShardStrategy::Steal),
             _ => None,
@@ -67,15 +62,14 @@ impl ShardStrategy {
     }
 
     /// All strategies, for determinism sweeps.
-    pub fn all() -> [ShardStrategy; 3] {
-        [ShardStrategy::Even, ShardStrategy::Cost, ShardStrategy::Steal]
+    pub fn all() -> [ShardStrategy; 2] {
+        [ShardStrategy::Cost, ShardStrategy::Steal]
     }
 }
 
 impl fmt::Display for ShardStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardStrategy::Even => write!(f, "even"),
             ShardStrategy::Cost => write!(f, "cost"),
             ShardStrategy::Steal => write!(f, "steal"),
         }
@@ -93,7 +87,6 @@ pub struct ShardPlan {
     threads: usize,
     strategy: ShardStrategy,
     block_size: usize,
-    domain: Option<CostDomain>,
 }
 
 impl ShardPlan {
@@ -109,7 +102,6 @@ impl ShardPlan {
             threads: threads.max(1),
             strategy: ShardStrategy::default(),
             block_size: DEFAULT_BLOCK_SIZE,
-            domain: None,
         }
     }
 
@@ -185,21 +177,6 @@ impl ShardPlan {
         self.strategy
     }
 
-    /// Tags the plan with the cost domain its items belong to, so the
-    /// executors can attribute shard timings to the right calibration
-    /// row when the online sampler is active. Purely observational: the
-    /// tag never influences partitioning or results, and untagged plans
-    /// are simply never sampled.
-    pub fn with_domain(mut self, domain: CostDomain) -> Self {
-        self.domain = Some(domain);
-        self
-    }
-
-    /// The cost domain the plan's items belong to, if tagged.
-    pub fn domain(&self) -> Option<CostDomain> {
-        self.domain
-    }
-
     /// The stealing block size.
     pub fn block_size(&self) -> usize {
         self.block_size
@@ -236,6 +213,8 @@ impl fmt::Display for ShardPlan {
 /// Contiguous equal-count partition of `items` indices into at most
 /// `shards` ranges (fewer when there are fewer items than shards).
 /// Concatenating the ranges in order reproduces `0..items` exactly.
+/// No strategy schedules by it: [`cost_ranges`] falls back to it when
+/// every cost is zero, and benches use it as the equal-count baseline.
 ///
 /// Degenerate inputs never panic: an empty universe returns no ranges,
 /// `shards == 0` is treated as 1, and more shards than items (1 item ×
@@ -386,10 +365,11 @@ mod tests {
 
     #[test]
     fn strategy_parses_case_insensitively() {
-        assert_eq!(ShardStrategy::parse(" Even "), Some(ShardStrategy::Even));
-        assert_eq!(ShardStrategy::parse("COST"), Some(ShardStrategy::Cost));
+        assert_eq!(ShardStrategy::parse(" COST "), Some(ShardStrategy::Cost));
         assert_eq!(ShardStrategy::parse("steal"), Some(ShardStrategy::Steal));
         assert_eq!(ShardStrategy::parse("work-stealing"), None);
+        // The retired equal-count strategy is refused, not run as `cost`.
+        assert_eq!(ShardStrategy::parse("even"), None);
         for strategy in ShardStrategy::all() {
             assert_eq!(ShardStrategy::parse(&strategy.to_string()), Some(strategy));
         }

@@ -6,12 +6,14 @@
 //! per configuration before the determinism suites.
 
 use esram_exec::{
-    parse_spec_out, CalibrationMode, FailpointSet, FaultSimKernel, ShardPlan, CALIB_ENV, FAILPOINTS_ENV,
-    FAULTSIM_KERNEL_ENV, SCHED_ENV, SPEC_OUT_ENV, THREADS_ENV,
+    parse_spec_out, FailpointSet, FaultSimKernel, ShardPlan, FAILPOINTS_ENV, FAULTSIM_KERNEL_ENV, SCHED_ENV,
+    SPEC_OUT_ENV, THREADS_ENV,
 };
 
 #[test]
 fn ambient_executor_knobs_are_well_formed() {
+    // Also refuses the retired `ESRAM_DIAG_SCHED=even`, so a stale
+    // matrix row fails here instead of silently running `cost`.
     let threads = std::env::var(THREADS_ENV).ok();
     let sched = std::env::var(SCHED_ENV).ok();
     let (plan, fallbacks) = ShardPlan::from_env_values(threads.as_deref(), sched.as_deref());
@@ -61,21 +63,6 @@ fn ambient_faultsim_kernel_knob_is_well_formed() {
             "malformed {FAULTSIM_KERNEL_ENV}='{raw}' in the environment \
              (the run would silently fall back to {})",
             FaultSimKernel::default()
-        );
-    }
-}
-
-#[test]
-fn ambient_calibration_knob_is_well_formed() {
-    // Same guard for the cost-calibration mode: a matrix entry like
-    // `ESRAM_COST_CALIB=onlien` must fail this test loudly instead of
-    // silently running the measured default under an online label.
-    if let Ok(raw) = std::env::var(CALIB_ENV) {
-        assert!(
-            CalibrationMode::parse(&raw).is_some(),
-            "malformed {CALIB_ENV}='{raw}' in the environment \
-             (the run would silently fall back to {:?})",
-            CalibrationMode::default()
         );
     }
 }

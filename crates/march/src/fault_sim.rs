@@ -520,10 +520,12 @@ impl FaultSimulator {
         prep: &UniversePrep<'_>,
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
-        let calibration = CostCalibration::current();
-        plan.with_domain(CostDomain::FaultSim).map_slots(
+        plan.map_slots(
             universe.as_slice(),
-            |_, fault| calibration.cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault)),
+            |_, fault| {
+                CostCalibration::MEASURED
+                    .cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault))
+            },
             || Sram::new(self.config),
             |sram, _, fault| self.simulate_fault_batched(sram, prep, fault),
         )
@@ -538,11 +540,10 @@ impl FaultSimulator {
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
         let lane_plan = self.lane_plan(prep.golden_passed, universe);
-        let calibration = CostCalibration::current();
-        let item_outcomes = plan.with_domain(CostDomain::FaultSim).map_slots(
+        let item_outcomes = plan.map_slots(
             &lane_plan.work,
             |_, &work| {
-                calibration.cost(
+                CostCalibration::MEASURED.cost(
                     CostDomain::FaultSim,
                     self.work_cost(&lane_plan, prep.golden_passed, universe, work),
                 )
@@ -587,11 +588,13 @@ impl FaultSimulator {
         universe: &FaultList,
     ) -> Result<Vec<FaultSimOutcome>, ExecError> {
         let prep = self.prepare(schedule);
-        let calibration = CostCalibration::current();
-        plan.with_domain(CostDomain::FaultSim).try_map_slots(
+        plan.try_map_slots(
             token,
             universe.as_slice(),
-            |_, fault| calibration.cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault)),
+            |_, fault| {
+                CostCalibration::MEASURED
+                    .cost(CostDomain::FaultSim, self.fault_cost(prep.golden_passed, fault))
+            },
             || Sram::new(self.config),
             |sram, index, fault| {
                 failpoint::trip("fault.sim", &[("index", index as u64)]);
@@ -639,11 +642,10 @@ impl FaultSimulator {
             .enumerate()
             .flat_map(|(job_index, lane_plan)| lane_plan.work.iter().map(move |&work| (job_index, work)))
             .collect();
-        let calibration = CostCalibration::current();
-        let outcomes = plan.with_domain(CostDomain::FaultSim).map_slots(
+        let outcomes = plan.map_slots(
             &flat,
             |_, &(job, work)| {
-                calibration.cost(
+                CostCalibration::MEASURED.cost(
                     CostDomain::FaultSim,
                     jobs[job].sim.work_cost(
                         &lane_plans[job],
@@ -697,7 +699,7 @@ impl FaultSimulator {
     /// (stuck-open, decoder) — and every fault when the golden run
     /// failed (`golden_passed == false`) — sweep the whole address
     /// space. The batched entry points price these row units through
-    /// the active [`CostCalibration`] (`FaultSim` domain) to steer the
+    /// the [`CostCalibration::MEASURED`] table (`FaultSim` domain) to steer the
     /// cost-weighted and stealing strategies; neither the units nor the
     /// calibration ever change outcomes, only the partition.
     pub fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {

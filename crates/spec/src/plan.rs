@@ -117,11 +117,14 @@ impl PlannedJob {
         self.memories.iter().map(|group| group.count).sum()
     }
 
-    /// Total number of cells across the job's population.
-    pub fn total_cells(&self) -> u64 {
-        self.memories
-            .iter()
-            .map(|group| group.count as u64 * group.words * group.width as u64)
-            .sum()
+    /// Total number of cells across the job's population, or `None` if
+    /// it does not fit in a u64 (spec validation rejects such groups).
+    pub fn total_cells(&self) -> Option<u64> {
+        self.memories.iter().try_fold(0u64, |total, group| {
+            (group.count as u64)
+                .checked_mul(group.words)?
+                .checked_mul(group.width as u64)
+                .and_then(|cells| total.checked_add(cells))
+        })
     }
 }

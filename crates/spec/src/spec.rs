@@ -436,6 +436,7 @@ fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
         .array("memory")
         .ok_or_else(|| SpecError::new(SpecErrorKind::EmptyMemories, FILE_SPAN))?;
     let mut memories = Vec::with_capacity(groups.len());
+    let mut total_cells: u64 = 0;
     for (span, table) in groups {
         let group = Section { span: *span, table };
         group.check_keys(&["count", "words", "width"])?;
@@ -464,6 +465,23 @@ fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
                 SpecErrorKind::InvalidGeometry(error.to_string()),
                 words_value.span,
             ));
+        }
+        // Reject here so every size product downstream (cells per
+        // group, per job, the memory count) fits in a u64.
+        match (count as u64)
+            .checked_mul(words)
+            .and_then(|cells| cells.checked_mul(width as u64))
+            .and_then(|cells| total_cells.checked_add(cells))
+        {
+            Some(total) => total_cells = total,
+            None => {
+                return Err(SpecError::new(
+                    SpecErrorKind::InvalidGeometry(format!(
+                        "{count} memories x {words} words x {width} bits overflows the u64 cell count"
+                    )),
+                    *span,
+                ));
+            }
         }
         memories.push(MemoryGroup { count, words, width });
     }

@@ -191,6 +191,25 @@ fn invalid_geometry() {
 }
 
 #[test]
+fn cell_count_overflow_is_invalid_geometry() {
+    // count × words × width wraps a u64: rejected at the group header.
+    let error = reject(
+        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 4000000000\nwords = 4000000000000\nwidth = 128\n",
+    );
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    assert_eq!(
+        error.span.line, 4,
+        "overflow errors anchor at the [[memory]] group"
+    );
+    // Groups that fit alone but not together are rejected at the group
+    // that tips the job total over.
+    let group = "[[memory]]\ncount = 1000000\nwords = 1000000000000\nwidth = 16\n";
+    let error = reject(&format!("[scenario]\nname = \"x\"\n\n{group}\n{group}"));
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    assert_eq!(error.span.line, 9);
+}
+
+#[test]
 fn unknown_scheme() {
     let error = reject(&format!("{VALID}[scheme]\nkind = \"turbo\"\n"));
     assert!(matches!(error.kind, SpecErrorKind::UnknownScheme(kind) if kind == "turbo"));
