@@ -4,7 +4,8 @@
 //! render the report JSON. This is the latency a user pays per
 //! invocation (minus process spawn and file writes), recorded in the
 //! committed ledger and gated by `perf_gate --strict` like every other
-//! group.
+//! group. The pipeline runs on the sequential plan, so the entries do
+//! not depend on the machine's core count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use esram_diag::ShardPlan;
@@ -21,7 +22,7 @@ fn case_study_source() -> String {
 fn bench_cli(c: &mut Criterion) {
     let source = case_study_source();
     let plan = compile_str(&source).expect("case-study spec compiles");
-    let shard = ShardPlan::from_env();
+    let shard = ShardPlan::sequential();
 
     // Sanity: the benched pipeline is the conformance contract.
     let run = execute_plan(&plan, &shard).expect("case-study runs");

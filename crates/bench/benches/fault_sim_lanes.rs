@@ -16,14 +16,13 @@
 //! Both kernels must agree on detections; the printed table reports the
 //! speedups (acceptance bar: >= 4x at benchmark scale, single thread).
 //! These entries feed the CI perf gate (`perf_gate --strict --prefix
-//! fault_sim_lanes/`). When refreshing the committed ledger, run with
-//! `ESRAM_DIAG_THREADS=1` (as CI's gate run does) so the entries do not
-//! encode the recording machine's core count.
+//! fault_sim_lanes/`). Both kernels run on the sequential plan, so the
+//! entries do not encode the recording machine's core count.
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
 use fault_models::{DefectProfile, FaultInjector, FaultList, FaultUniverse};
-use march::{algorithms, FaultSimKernel, FaultSimulator, MarchSchedule};
+use march::{algorithms, FaultSimKernel, FaultSimulator, MarchSchedule, ShardPlan};
 use sram_model::MemConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -31,7 +30,7 @@ use testutil::{benchmark_geometry, SEEDS};
 
 /// Detections under the given kernel — the measured unit of work.
 fn simulate(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) -> usize {
-    sim.simulate_universe(schedule, universe)
+    sim.simulate_universe_with(ShardPlan::sequential(), schedule, universe)
         .iter()
         .filter(|outcome| outcome.detected)
         .count()

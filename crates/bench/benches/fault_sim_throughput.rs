@@ -13,15 +13,15 @@
 //! * `*_sharded` — the current library path
 //!   ([`FaultSimulator::simulate_universe`]): shared `SchedulePatterns`,
 //!   golden-run-gated single-row pruning and `std::thread::scope`
-//!   sharding under the default [`ShardPlan`].
+//!   sharding under the executor (pinned to [`ShardPlan::sequential`]).
 //!
 //! All three paths must agree on the number of detections; the printed
 //! table reports the speedups. These entries feed the CI perf gate
 //! (`perf_gate`), which fails a release build when a fresh run regresses
 //! more than 2x against the committed `BENCH_results.json`. When
-//! refreshing that committed ledger, run this bench with
-//! `ESRAM_DIAG_THREADS=1` (as CI's gate run does) so the `*_sharded`
-//! baselines do not encode the recording machine's core count.
+//! refreshing that committed ledger, the `*_sharded` entries run on the
+//! sequential plan, so the baselines do not encode the recording
+//! machine's core count.
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -42,9 +42,10 @@ fn benchmark_config() -> MemConfig {
     testutil::benchmark_geometry()
 }
 
-/// The current library path: sharded + pruned batched simulation.
+/// The current library path: sharded + pruned batched simulation, on
+/// the sequential plan.
 fn simulate_sharded(sim: &FaultSimulator, schedule: &MarchSchedule, universe: &FaultList) -> usize {
-    sim.simulate_universe(schedule, universe)
+    sim.simulate_universe_with(ShardPlan::sequential(), schedule, universe)
         .iter()
         .filter(|outcome| outcome.detected)
         .count()
@@ -146,10 +147,7 @@ fn time_ms(mut run: impl FnMut() -> usize) -> (usize, f64) {
 
 fn print_throughput_table() {
     print_section("P1: fault-simulation throughput — sharded+pruned vs frozen predecessors");
-    println!(
-        "shard plan: {} (ESRAM_DIAG_THREADS overrides)",
-        ShardPlan::default()
-    );
+    println!("shard plan: {}", ShardPlan::sequential());
 
     let s1 = s1_config();
     let s1_universe = stuck_at_population(s1, 64, SEEDS[0]);

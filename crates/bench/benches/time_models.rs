@@ -183,7 +183,7 @@ fn bench_time_models(c: &mut Criterion) {
             |mut soc| {
                 let result = FastScheme::new(10.0)
                     .with_drf_mode(DrfMode::None)
-                    .diagnose(soc.memories_mut())
+                    .diagnose_with(ShardPlan::sequential(), soc.memories_mut())
                     .expect("fast run");
                 black_box(result.cycles)
             },
@@ -196,7 +196,7 @@ fn bench_time_models(c: &mut Criterion) {
             || small_population(4, 64, 16, 0.01, 42),
             |mut soc| {
                 let result = HuangScheme::new(10.0)
-                    .diagnose(soc.memories_mut())
+                    .diagnose_with(ShardPlan::sequential(), soc.memories_mut())
                     .expect("baseline run");
                 black_box(result.cycles)
             },
@@ -219,7 +219,7 @@ fn bench_time_models(c: &mut Criterion) {
             |mut soc| {
                 let result = FastScheme::new(10.0)
                     .with_drf_mode(DrfMode::None)
-                    .diagnose(soc.memories_mut())
+                    .diagnose_with(ShardPlan::sequential(), soc.memories_mut())
                     .expect("fast run");
                 black_box(result.cycles)
             },
@@ -235,11 +235,10 @@ fn bench_time_models(c: &mut Criterion) {
 
     // Population sharding + parallel SoC construction: the 512-memory
     // diagnosis under the frozen sequential comparator plan vs the
-    // library plan (`ESRAM_DIAG_THREADS`-overridable; CI pins it to 1
-    // so the perf gate compares like with like), and SoC construction
-    // at population scale under both plans. On a multi-core runner the
-    // `_sharded` entries scale with the worker count while the
-    // `_sequential` comparators freeze the single-thread walk.
+    // `_sharded` entries, and SoC construction at population scale
+    // under both. Every gated entry runs on `ShardPlan::sequential()`
+    // so the perf gate compares like with like on any core count; the
+    // committed `_sharded` rows were recorded on one thread too.
     // The per-memory oracle kernel on the same population: the committed
     // pair documents the bit-parallel kernel's speedup, and the gap
     // collapsing is the first sign the fast path silently degraded to
@@ -278,7 +277,7 @@ fn bench_time_models(c: &mut Criterion) {
             |mut soc| {
                 let result = FastScheme::new(10.0)
                     .with_drf_mode(DrfMode::None)
-                    .diagnose_with(ShardPlan::from_env(), soc.memories_mut())
+                    .diagnose_with(ShardPlan::sequential(), soc.memories_mut())
                     .expect("fast run");
                 black_box(result.cycles)
             },
@@ -300,7 +299,7 @@ fn bench_time_models(c: &mut Criterion) {
         b.iter(|| black_box(build_512(ShardPlan::sequential())))
     });
     group.bench_function("soc_build_512mem_sharded", |b| {
-        b.iter(|| black_box(build_512(ShardPlan::from_env())))
+        b.iter(|| black_box(build_512(ShardPlan::sequential())))
     });
 
     group.finish();

@@ -19,10 +19,10 @@
 //! or removes entries is reviewed with the code change itself.
 //!
 //! The committed baseline is hardware-bound (it was recorded on one CI
-//! runner class, with the sharded entries pinned to one thread); the
-//! workflow pins `ESRAM_DIAG_THREADS=1` for the fresh run so core-count
-//! differences cannot masquerade as regressions, and the ledger is
-//! refreshed whenever the runner class changes.
+//! runner class); the gated benches pin their sharded entries to one
+//! thread in code, so core-count differences cannot masquerade as
+//! regressions, and the ledger is refreshed whenever the runner class
+//! changes.
 
 pub use criterion::{parse_records as parse_ledger, BenchRecord};
 use std::fmt;

@@ -72,7 +72,7 @@ impl FastScheme {
             drf_mode: DrfMode::Nwrtm,
             shift_order: ShiftOrder::MsbFirst,
             use_march_cw: true,
-            kernel: DiagnosisKernel::from_env(),
+            kernel: DiagnosisKernel::BitParallel,
         }
     }
 
@@ -82,8 +82,8 @@ impl FastScheme {
         self
     }
 
-    /// Selects the population-stepping kernel explicitly, overriding the
-    /// `ESRAM_DIAG_KERNEL` default [`FastScheme::new`] picked up. Both
+    /// Selects the population-stepping kernel, replacing the
+    /// bit-parallel default [`FastScheme::new`] picks. Both
     /// kernels produce byte-identical results; `PerMemory` is the dense
     /// oracle the equivalence suite compares against.
     pub fn with_kernel(mut self, kernel: DiagnosisKernel) -> Self {
@@ -224,7 +224,7 @@ impl FastScheme {
 
     /// Diagnoses a population presented as `(id, memory)` pairs over any
     /// [`MemoryPort`] implementation, under the default [`ShardPlan`]
-    /// (available cores, `ESRAM_DIAG_THREADS` overrides).
+    /// (available cores).
     ///
     /// This is the generic core [`DiagnosisScheme::diagnose`] wraps (the
     /// packed population case); the dense-vs-packed equivalence suite

@@ -50,12 +50,12 @@ impl HuangScheme {
             clock_period_ns,
             max_iterations: 4096,
             retention_pause_ms: None,
-            kernel: DiagnosisKernel::from_env(),
+            kernel: DiagnosisKernel::BitParallel,
         }
     }
 
-    /// Selects the population-stepping kernel explicitly, overriding
-    /// the `ESRAM_DIAG_KERNEL` default [`HuangScheme::new`] picked up.
+    /// Selects the population-stepping kernel, replacing the
+    /// bit-parallel default [`HuangScheme::new`] picks.
     /// For the baseline the bit-parallel kernel only skips memories
     /// that are provably pristine (fault-free, power-on contents) for
     /// the duration of a pass — the bi-directional serial interface

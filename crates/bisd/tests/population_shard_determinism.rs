@@ -7,12 +7,12 @@
 //! * `HuangScheme::diagnose_with` iterates globally with sharded
 //!   passes, and its log/iteration/cycle accounting never depends on
 //!   the plan;
-//! * the default (environment-driven) plan used by the
-//!   [`DiagnosisScheme::diagnose`] entry points equals the explicit
-//!   sequential plan — this is what the CI thread-matrix job sweeps
-//!   over `ESRAM_DIAG_THREADS` ∈ {1, 2, 7, 32}.
+//! * the default plan used by the [`DiagnosisScheme::diagnose`] entry
+//!   points equals the explicit sequential plan;
+//! * both kernels shard identically over threads {1, 2, 7, 32} × every
+//!   strategy, swept in-process.
 
-use bisd::{DiagnosisScheme, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
+use bisd::{DiagnosisKernel, DiagnosisScheme, DrfMode, FastScheme, HuangScheme, MemoryUnderDiagnosis};
 use fault_models::{DefectProfile, FaultInjector};
 use march::{ShardPlan, ShardStrategy};
 use sram_model::{MemConfig, MemoryId};
@@ -158,30 +158,40 @@ fn both_schemes_are_byte_identical_under_every_strategy() {
             .expect("sequential baseline run")
     };
     assert!(!fast_sequential.is_clean(), "the population must contain faults");
-    for strategy in ShardStrategy::all() {
-        for threads in [2, 7, 32] {
-            let plan = ShardPlan::with_threads(threads)
-                .with_strategy(strategy)
-                .with_block_size(2);
-            let mut fast_population = population(13, 0.04);
-            let fast = FastScheme::new(10.0)
-                .diagnose_with(plan, &mut fast_population)
-                .expect("sharded fast run");
-            assert_eq!(fast, fast_sequential, "fast scheme diverged under {plan}");
-            let mut huang_population = population(13, 0.04);
-            let huang = HuangScheme::new(10.0)
-                .diagnose_with(plan, &mut huang_population)
-                .expect("sharded baseline run");
-            assert_eq!(huang, huang_sequential, "baseline diverged under {plan}");
+    for kernel in DiagnosisKernel::all() {
+        for strategy in ShardStrategy::all() {
+            for threads in THREAD_COUNTS {
+                let plan = ShardPlan::with_threads(threads)
+                    .with_strategy(strategy)
+                    .with_block_size(2);
+                let mut fast_population = population(13, 0.04);
+                let fast = FastScheme::new(10.0)
+                    .with_kernel(kernel)
+                    .diagnose_with(plan, &mut fast_population)
+                    .expect("sharded fast run");
+                assert_eq!(
+                    fast, fast_sequential,
+                    "fast scheme ({kernel}) diverged under {plan}"
+                );
+                let mut huang_population = population(13, 0.04);
+                let huang = HuangScheme::new(10.0)
+                    .with_kernel(kernel)
+                    .diagnose_with(plan, &mut huang_population)
+                    .expect("sharded baseline run");
+                assert_eq!(
+                    huang, huang_sequential,
+                    "baseline ({kernel}) diverged under {plan}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn default_env_driven_plan_equals_the_explicit_sequential_plan() {
-    // The trait entry points run under `ShardPlan::from_env()`; whatever
-    // `ESRAM_DIAG_THREADS` the CI matrix sets, the result must equal the
-    // sequential oracle.
+fn default_plan_equals_the_explicit_sequential_plan() {
+    // The trait entry points run under `ShardPlan::default()` (available
+    // cores, cost scheduling); the result must equal the sequential
+    // oracle.
     let mut fast_default = population(5, 0.03);
     let fast = FastScheme::new(10.0)
         .diagnose(&mut fast_default)
@@ -194,7 +204,7 @@ fn default_env_driven_plan_equals_the_explicit_sequential_plan() {
         fast,
         fast_oracle,
         "default-plan fast diagnosis diverged under {}",
-        ShardPlan::from_env()
+        ShardPlan::default()
     );
 
     let mut huang_default = population(5, 0.03);
@@ -209,7 +219,7 @@ fn default_env_driven_plan_equals_the_explicit_sequential_plan() {
         huang,
         huang_oracle,
         "default-plan baseline diagnosis diverged under {}",
-        ShardPlan::from_env()
+        ShardPlan::default()
     );
 }
 
@@ -240,12 +250,11 @@ fn single_memory_population_shards_trivially() {
 
 #[test]
 fn both_kernels_shard_identically_under_every_strategy() {
-    // The kernel knob composes with sharding: for each kernel the
+    // The kernel choice composes with sharding: for each kernel the
     // sharded run must equal that kernel's own sequential walk, and the
-    // two kernels' sequential walks must equal each other — so the CI
-    // matrix rows that pin `ESRAM_DIAG_KERNEL=permem` gate exactly the
-    // same bytes as the default bit-parallel rows.
-    use bisd::DiagnosisKernel;
+    // two kernels' sequential walks must equal each other — so the
+    // per-memory oracle gates exactly the same bytes as the default
+    // bit-parallel kernel.
     let oracle = {
         let mut population = population(17, 0.04);
         FastScheme::new(10.0)
@@ -256,7 +265,7 @@ fn both_kernels_shard_identically_under_every_strategy() {
     assert!(!oracle.is_clean(), "the population must contain faults");
     for kernel in DiagnosisKernel::all() {
         for strategy in ShardStrategy::all() {
-            for threads in [1, 7, 32] {
+            for threads in THREAD_COUNTS {
                 let plan = ShardPlan::with_threads(threads)
                     .with_strategy(strategy)
                     .with_block_size(2);
@@ -271,18 +280,5 @@ fn both_kernels_shard_identically_under_every_strategy() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn ambient_kernel_knob_is_well_formed() {
-    // The determinism matrix sets `ESRAM_DIAG_KERNEL` per row; a typo
-    // there must fail the suite loudly, not fall back silently.
-    if let Ok(raw) = std::env::var(bisd::KERNEL_ENV) {
-        assert!(
-            bisd::DiagnosisKernel::parse(&raw).is_some(),
-            "{}={raw:?} is not a valid kernel (expected one of: bitparallel, permem)",
-            bisd::KERNEL_ENV
-        );
     }
 }

@@ -12,15 +12,16 @@
 //! * `esram report <report.json | dir>` — render a human-readable
 //!   summary of a previously written report.
 //!
-//! Output directory precedence for `run`: `--out` beats the
-//! `ESRAM_SPEC_OUT` environment knob, which beats the spec's own
-//! `[report] dir`, which beats the default `esram-out/<name>`. The
-//! executor knobs (`ESRAM_DIAG_THREADS`, `ESRAM_DIAG_SCHED`,
-//! `ESRAM_DIAG_KERNEL`, `ESRAM_FAULTSIM_KERNEL`) are inherited from the
-//! environment exactly as every other harness in the workspace inherits
-//! them — and the report bytes are identical under all of them. A
-//! spec's `[execution] faultsim_kernel` is recorded in the report; `run`
-//! performs no fault simulation, so the value never changes the run.
+//! Output directory precedence for `run`: `--out` beats the spec's own
+//! `[report] dir`, which beats the default `esram-out/<name>`.
+//!
+//! The run configuration is explicit, never read from the environment:
+//! `run` executes under the default [`ShardPlan`] (available cores,
+//! cost scheduling), and the spec's `[execution]` table pins the
+//! kernels. The report bytes are identical at every thread count,
+//! strategy and kernel. A spec's `[execution] faultsim_kernel` is
+//! recorded in the report; `run` performs no fault simulation, so the
+//! value never changes the run.
 //!
 //! Exit codes: 0 success, 1 spec/run failure (including any failed job
 //! in the report), 2 usage error.
@@ -38,8 +39,8 @@ commands:
   run <spec.toml> [--out <dir>] execute a spec and write report files
   report <report.json | dir>    summarise a previously written report
 
-The run output directory resolves as: --out, then $ESRAM_SPEC_OUT,
-then the spec's [report] dir, then esram-out/<scenario name>.";
+The run output directory resolves as: --out, then the spec's
+[report] dir, then esram-out/<scenario name>.";
 
 enum CliError {
     /// Wrong invocation: print usage, exit 2.
@@ -118,7 +119,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let plan = spec.compile();
     let out_dir = resolve_out_dir(&plan.name, plan.report.dir.as_deref(), out_flag);
 
-    let shard = ShardPlan::from_env();
+    let shard = ShardPlan::default();
     let started = Instant::now();
     let run = execute_plan(&plan, &shard).map_err(CliError::Failure)?;
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -174,19 +175,12 @@ fn load_spec(path: &str) -> Result<ScenarioSpec, CliError> {
     ScenarioSpec::parse(&source).map_err(|error| CliError::Failure(format!("{path}: {error}")))
 }
 
-/// `--out` beats `ESRAM_SPEC_OUT` beats the spec's `[report] dir`
-/// beats `esram-out/<name>`.
+/// `--out` beats the spec's `[report] dir` beats `esram-out/<name>`.
 fn resolve_out_dir(name: &str, spec_dir: Option<&str>, out_flag: Option<String>) -> PathBuf {
-    if let Some(dir) = out_flag {
-        return PathBuf::from(dir);
-    }
-    if let Some(dir) = esram_exec::spec_out_from_env() {
-        return PathBuf::from(dir);
-    }
-    if let Some(dir) = spec_dir {
-        return PathBuf::from(dir);
-    }
-    Path::new("esram-out").join(name)
+    out_flag
+        .map(PathBuf::from)
+        .or_else(|| spec_dir.map(PathBuf::from))
+        .unwrap_or_else(|| Path::new("esram-out").join(name))
 }
 
 fn write_file(path: &Path, contents: &str) -> Result<(), CliError> {

@@ -6,11 +6,13 @@
 //!   byte for byte (report.json only; timing.json is wall-clock).
 //! * The case-study report carries the paper's numbers: Eq. (2)-exact
 //!   cycles, k = 96, R >= 84, and every injected fault located.
-//! * Reports are byte-identical across `ESRAM_DIAG_THREADS` in {1, 32}
-//!   and both work-distribution strategies ({cost, steal}).
+//! * Reports are byte-identical to the golden across threads
+//!   {1, 2, 7, 32}, both strategies ({cost, steal}) and both diagnosis
+//!   kernels, swept in-process through `execute_plan`.
 //! * Malformed specs exit non-zero with a span-bearing error message.
 
-use esram_spec::Json;
+use esram_diag::{DiagnosisKernel, ShardPlan, ShardStrategy};
+use esram_spec::{compile_str, execute_plan, Json};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -48,37 +50,23 @@ fn out_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the binary with the given args and executor knobs, clearing the
-/// ambient knobs first so the calling environment cannot skew a test.
-fn esram(args: &[&str], knobs: &[(&str, &str)]) -> Output {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_esram"));
-    command.args(args).current_dir(repo_root());
-    for knob in [
-        "ESRAM_DIAG_THREADS",
-        "ESRAM_DIAG_SCHED",
-        "ESRAM_DIAG_KERNEL",
-        "ESRAM_FAULTSIM_KERNEL",
-        "ESRAM_SPEC_OUT",
-    ] {
-        command.env_remove(knob);
-    }
-    for (key, value) in knobs {
-        command.env(key, value);
-    }
-    command.output().expect("esram binary must spawn")
+/// Runs the binary with the given args from the repository root.
+fn esram(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_esram"))
+        .args(args)
+        .current_dir(repo_root())
+        .output()
+        .expect("esram binary must spawn")
 }
 
-fn run_spec(spec: &str, tag: &str, knobs: &[(&str, &str)]) -> (Output, String) {
+fn run_spec(spec: &str, tag: &str) -> (Output, String) {
     let dir = out_dir(tag);
-    let output = esram(
-        &[
-            "run",
-            example(spec).to_str().unwrap(),
-            "--out",
-            dir.to_str().unwrap(),
-        ],
-        knobs,
-    );
+    let output = esram(&[
+        "run",
+        example(spec).to_str().unwrap(),
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
     let report = std::fs::read_to_string(dir.join("report.json")).unwrap_or_default();
     std::fs::remove_dir_all(&dir).ok();
     (output, report)
@@ -87,7 +75,7 @@ fn run_spec(spec: &str, tag: &str, knobs: &[(&str, &str)]) -> (Output, String) {
 #[test]
 fn compile_accepts_the_checked_in_examples() {
     for spec in ["case_study_512x100.toml", "defect_rate_sweep.toml"] {
-        let output = esram(&["compile", example(spec).to_str().unwrap()], &[]);
+        let output = esram(&["compile", example(spec).to_str().unwrap()]);
         assert!(output.status.success(), "compile {spec} failed: {output:?}");
         let stdout = String::from_utf8(output.stdout).unwrap();
         assert!(stdout.contains("spec OK"), "unexpected compile output: {stdout}");
@@ -96,7 +84,7 @@ fn compile_accepts_the_checked_in_examples() {
 
 #[test]
 fn case_study_reproduces_the_committed_golden_and_the_paper_numbers() {
-    let (output, report) = run_spec("case_study_512x100.toml", "golden", &[]);
+    let (output, report) = run_spec("case_study_512x100.toml", "golden");
     assert!(output.status.success(), "run failed: {output:?}");
     let committed = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
     assert_eq!(
@@ -133,7 +121,7 @@ fn case_study_reproduces_the_committed_golden_and_the_paper_numbers() {
 
 #[test]
 fn sweep_example_reproduces_the_committed_golden() {
-    let (output, report) = run_spec("defect_rate_sweep.toml", "sweep", &[]);
+    let (output, report) = run_spec("defect_rate_sweep.toml", "sweep");
     assert!(output.status.success(), "run failed: {output:?}");
     let committed = std::fs::read_to_string(golden("defect_rate_sweep")).unwrap();
     assert_eq!(
@@ -144,45 +132,28 @@ fn sweep_example_reproduces_the_committed_golden() {
 
 #[test]
 fn reports_are_byte_identical_across_threads_and_strategies() {
-    let baseline = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
-    for threads in ["1", "32"] {
-        for sched in ["cost", "steal"] {
-            let (output, report) = run_spec(
-                "case_study_512x100.toml",
-                &format!("det-{threads}-{sched}"),
-                &[("ESRAM_DIAG_THREADS", threads), ("ESRAM_DIAG_SCHED", sched)],
-            );
-            assert!(
-                output.status.success(),
-                "run ({threads}, {sched}) failed: {output:?}"
-            );
-            assert_eq!(
-                report, baseline,
-                "report bytes differ at {threads} threads / {sched} strategy"
-            );
+    // The committed golden was generated with no kernel pinned; pinning
+    // one changes only the scheme echo's `kernel` field, so that field
+    // is mapped back before the byte comparison.
+    let golden_bytes = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
+    let source = std::fs::read_to_string(example("case_study_512x100.toml")).unwrap();
+    let mut plan = compile_str(&source).expect("the case study compiles");
+    for kernel in DiagnosisKernel::all() {
+        plan.kernel = Some(kernel);
+        let pinned = format!("\"kernel\": \"{kernel}\"");
+        for strategy in ShardStrategy::all() {
+            for threads in [1, 2, 7, 32] {
+                let shard = ShardPlan::with_threads(threads).with_strategy(strategy);
+                let run = execute_plan(&plan, &shard).expect("the case study runs");
+                let report = run.report.render();
+                assert!(report.contains(&pinned), "the report must echo {pinned}");
+                assert_eq!(
+                    report.replacen(&pinned, "\"kernel\": \"inherit\"", 1),
+                    golden_bytes,
+                    "report bytes differ under {shard} with the {kernel} kernel"
+                );
+            }
         }
-    }
-}
-
-#[test]
-fn reports_are_byte_identical_across_faultsim_kernels() {
-    // The committed goldens were produced under the default (lane)
-    // fault-sim kernel; pinning the frozen per-memory oracle — or the
-    // default explicitly — must not move a byte. This is the CLI edge
-    // of the lane-kernel equivalence contract (the CI determinism
-    // matrix sweeps the same knob across the whole suite).
-    let baseline = std::fs::read_to_string(golden("case_study_512x100")).unwrap();
-    for kernel in ["lanes", "permem"] {
-        let (output, report) = run_spec(
-            "case_study_512x100.toml",
-            &format!("faultsim-{kernel}"),
-            &[("ESRAM_FAULTSIM_KERNEL", kernel)],
-        );
-        assert!(output.status.success(), "run ({kernel}) failed: {output:?}");
-        assert_eq!(
-            report, baseline,
-            "report bytes differ under the {kernel} fault-sim kernel"
-        );
     }
 }
 
@@ -194,8 +165,10 @@ fn malformed_specs_fail_with_span_bearing_errors() {
         "invalid/trailing_garbage.toml",
         "invalid/unknown_faultsim_kernel.toml",
         "invalid/cell_overflow.toml",
+        "invalid/huge_count.toml",
+        "invalid/huge_words.toml",
     ] {
-        let output = esram(&["compile", example(spec).to_str().unwrap()], &[]);
+        let output = esram(&["compile", example(spec).to_str().unwrap()]);
         assert_eq!(output.status.code(), Some(1), "{spec} must exit 1: {output:?}");
         let stderr = String::from_utf8(output.stderr).unwrap();
         assert!(
@@ -203,10 +176,7 @@ fn malformed_specs_fail_with_span_bearing_errors() {
             "{spec} error lacks a span: {stderr}"
         );
         // `run` must reject the same spec identically.
-        let run = esram(
-            &["run", example(spec).to_str().unwrap(), "--out", "/tmp/unused"],
-            &[],
-        );
+        let run = esram(&["run", example(spec).to_str().unwrap(), "--out", "/tmp/unused"]);
         assert_eq!(run.status.code(), Some(1), "{spec} run must exit 1");
     }
 }
@@ -214,7 +184,7 @@ fn malformed_specs_fail_with_span_bearing_errors() {
 #[test]
 fn report_subcommand_summarises_a_golden() {
     let dir = golden("case_study_512x100");
-    let output = esram(&["report", dir.parent().unwrap().to_str().unwrap()], &[]);
+    let output = esram(&["report", dir.parent().unwrap().to_str().unwrap()]);
     assert!(output.status.success(), "report failed: {output:?}");
     let stdout = String::from_utf8(output.stdout).unwrap();
     assert!(
@@ -228,24 +198,9 @@ fn report_subcommand_summarises_a_golden() {
 }
 
 #[test]
-fn spec_out_env_knob_sets_the_output_directory() {
-    let dir = out_dir("env-knob");
-    let output = esram(
-        &["run", example("case_study_512x100.toml").to_str().unwrap()],
-        &[("ESRAM_SPEC_OUT", dir.to_str().unwrap())],
-    );
-    assert!(output.status.success(), "run failed: {output:?}");
-    assert!(
-        dir.join("report.json").is_file(),
-        "ESRAM_SPEC_OUT was not honoured"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn usage_errors_exit_2() {
     for args in [&[][..], &["frobnicate"][..], &["run"][..]] {
-        let output = esram(args, &[]);
+        let output = esram(args);
         assert_eq!(output.status.code(), Some(2), "usage error must exit 2: {args:?}");
         let stderr = String::from_utf8(output.stderr).unwrap();
         assert!(stderr.contains("usage: esram"), "usage text missing: {stderr}");

@@ -125,8 +125,7 @@ impl SocBuilder {
     }
 
     /// Builds the population, injecting defects if a defect rate was
-    /// set, under the default [`ShardPlan`] (available cores,
-    /// `ESRAM_DIAG_THREADS` overrides).
+    /// set, under the default [`ShardPlan`] (available cores).
     ///
     /// # Errors
     ///

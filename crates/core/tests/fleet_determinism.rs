@@ -4,10 +4,8 @@
 //! boundaries) but may never move a single diagnosis record, cycle
 //! count or injected fault.
 //!
-//! The CI determinism matrix runs this suite under every
-//! `ESRAM_DIAG_THREADS` / `ESRAM_DIAG_SCHED` / `ESRAM_DIAG_KERNEL`
-//! combination it pins, so the default-plan fleet path is exercised at
-//! every worker count, strategy and kernel too.
+//! The suite sweeps threads {1, 2, 7, 32} × every strategy × both
+//! kernels in-process, and checks the default-plan fleet path too.
 
 use esram_diag::{
     DiagnosisKernel, DiagnosisResult, FastScheme, FleetJob, FleetRunner, ShardPlan, ShardStrategy, Soc,
@@ -119,10 +117,9 @@ fn fleet_matches_serial_for_every_strategy_thread_count_and_kernel() {
 
 #[test]
 fn fleet_under_the_default_plan_matches_serial() {
-    // The CI matrix drives this path: whatever the ambient
-    // `ESRAM_DIAG_*` knobs select, the fleet must equal the per-job
-    // sequential oracle.
-    let jobs = mixed_jobs(DiagnosisKernel::from_env());
+    // `ShardPlan::default()` (available cores, cost scheduling) with the
+    // schemes' default bit-parallel kernel: the path `esram run` takes.
+    let jobs = mixed_jobs(DiagnosisKernel::BitParallel);
     let baseline = serial_baseline(&jobs);
     assert_fleet_matches(&jobs, &baseline, ShardPlan::default());
 }

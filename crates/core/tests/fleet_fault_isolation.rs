@@ -11,10 +11,9 @@
 //! baseline), and injected worker delays are asserted to never move a
 //! single diagnosis record.
 //!
-//! Scenario guards take full precedence over `ESRAM_FAILPOINTS`, so
-//! this suite is immune to whatever the CI chaos matrix arms in the
-//! environment; the ambient-env rows are covered by the companion
-//! `fleet_env_chaos` suite.
+//! Failpoints are armed only through [`FailpointGuard`], so every
+//! scenario here is the whole injection state of the process while its
+//! guard is held.
 
 use esram_diag::{
     DiagnosisKernel, DiagnosisResult, FastScheme, FleetError, FleetJob, FleetPhase, FleetRunner, JobOutcome,
@@ -51,8 +50,8 @@ fn mixed_jobs(kernel: DiagnosisKernel) -> Vec<FleetJob> {
     jobs
 }
 
-/// Solo-run oracle, computed with all failpoints disarmed so an armed
-/// environment cannot skew the expectation.
+/// Solo-run oracle, computed with all failpoints disarmed (holding the
+/// scenario lock, so no other test's scenario can skew the expectation).
 fn serial_baseline(jobs: &[FleetJob]) -> Vec<(Soc, DiagnosisResult)> {
     let _quiet = FailpointGuard::disabled();
     jobs.iter()

@@ -3,9 +3,8 @@
 //! the builder seed, so the built population is a pure function of
 //! `(seed, index, geometry)` no matter how many workers build it.
 //!
-//! The CI thread-matrix job runs this suite under `ESRAM_DIAG_THREADS`
-//! ∈ {1, 2, 7, 32} so the default-plan path is exercised at every
-//! worker count too.
+//! Worker counts and strategies are swept in-process; the default-plan
+//! path (`ShardPlan::default()`) is checked against the sequential one.
 
 use esram_diag::{DiagnosisScheme, FastScheme, ShardPlan, ShardStrategy, Soc};
 use proptest::prelude::*;
@@ -96,8 +95,8 @@ proptest! {
 
 #[test]
 fn default_plan_build_equals_sequential_build() {
-    // The plain `build()` runs under `ShardPlan::from_env()`; whatever
-    // the CI matrix sets, it must equal the sequential oracle.
+    // The plain `build()` runs under `ShardPlan::default()` (available
+    // cores, cost scheduling); it must equal the sequential oracle.
     let make_default = || {
         Soc::builder()
             .memories(37, 64, 16)
@@ -123,7 +122,7 @@ fn default_plan_build_equals_sequential_build() {
     assert_bit_identical(
         &make_default(),
         &sequential,
-        &format!("default plan ({})", ShardPlan::from_env()),
+        &format!("default plan ({})", ShardPlan::default()),
     );
 }
 

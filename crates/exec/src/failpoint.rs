@@ -1,14 +1,14 @@
-//! Deterministic failpoint harness: named injection sites that can be
-//! armed — from the [`FAILPOINTS_ENV`] environment variable or
-//! programmatically ([`FailpointGuard`]) — to panic, error or delay at
-//! exact, reproducible places. This is the substrate of the chaos test
+//! Deterministic failpoint harness: named injection sites that a
+//! [`FailpointGuard`] arms from code to panic, error or delay at exact,
+//! reproducible places. This is the substrate of the chaos test
 //! suite: every graceful-degradation guarantee (a poisoned fleet job
 //! fails alone, injected slowdown never changes results) is proved by
 //! arming a failpoint and asserting the isolation held.
 //!
 //! # Grammar
 //!
-//! `ESRAM_FAILPOINTS` holds a comma-separated list of specs:
+//! A scenario ([`FailpointGuard::scenario`]) is a comma-separated list
+//! of specs:
 //!
 //! ```text
 //! site[@key=N]:action
@@ -29,7 +29,7 @@
 //!
 //! # Cost when unset
 //!
-//! A hit at an un-armed site is two relaxed atomic loads — no parsing,
+//! A hit while nothing is armed is one relaxed atomic load — no parsing,
 //! no locks, no allocation — so instrumented hot paths stay free in
 //! production.
 //!
@@ -39,15 +39,9 @@
 //! armed specs)` — no randomness, no probabilities — so an injected
 //! failure reproduces identically on every run at every worker count.
 
-use crate::env;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
-
-/// Environment variable holding the armed failpoint specs (parsed once
-/// per process through [`env::read_knob`]: malformed values warn once
-/// on stderr and disarm injection entirely rather than half-applying).
-pub const FAILPOINTS_ENV: &str = "ESRAM_FAILPOINTS";
 
 /// Marker embedded in every injected panic payload, so panic output
 /// from *expected* injections can be told apart from real bugs (and
@@ -139,8 +133,7 @@ impl Failpoint {
     }
 }
 
-/// A parsed set of failpoint specs (the whole [`FAILPOINTS_ENV`] value,
-/// or a programmatic scenario for [`FailpointGuard`]).
+/// A parsed set of failpoint specs: one scenario for [`FailpointGuard`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FailpointSet {
     points: Vec<Failpoint>,
@@ -191,41 +184,25 @@ impl std::fmt::Display for InjectedFailure {
 
 impl std::error::Error for InjectedFailure {}
 
-/// Serialises programmatic scenarios: only one [`FailpointGuard`] can
-/// be live at a time, so parallel tests cannot overlay each other's
-/// injections.
+/// Serialises scenarios: only one [`FailpointGuard`] can be live at a
+/// time, so parallel tests cannot overlay each other's injections.
 static SCENARIO: Mutex<()> = Mutex::new(());
-/// Fast flag for "a programmatic override is installed".
-static OVERRIDE_ON: AtomicBool = AtomicBool::new(false);
-/// The installed override (replaces the environment set entirely while
-/// present — including with an empty set, which disarms everything).
-static OVERRIDE: RwLock<Option<FailpointSet>> = RwLock::new(None);
-/// Whether the environment armed any failpoint (computed once).
-static ENV_ARMED: OnceLock<bool> = OnceLock::new();
-/// The environment's parsed set (computed once, warn-once on garbage).
-static ENV_SET: OnceLock<FailpointSet> = OnceLock::new();
-
-fn env_set() -> &'static FailpointSet {
-    ENV_SET.get_or_init(|| {
-        env::read_knob(FAILPOINTS_ENV, FailpointSet::parse, || {
-            "no failpoints (injection disabled)".to_string()
-        })
-        .unwrap_or_default()
-    })
-}
+/// Fast flag for "the live scenario arms at least one failpoint".
+static ARMED: AtomicBool = AtomicBool::new(false);
+/// The live scenario's set (empty when no guard is held).
+static ARMED_SET: RwLock<FailpointSet> = RwLock::new(FailpointSet { points: Vec::new() });
 
 /// Looks up the armed action for a hit of `site` with the given
 /// qualifiers, without performing it. `None` when nothing matching is
-/// armed — the common case, answered by two relaxed atomic loads.
+/// armed — the common case, answered by one relaxed atomic load.
 pub fn evaluate(site: &str, qualifiers: &[(&str, u64)]) -> Option<FailAction> {
-    if OVERRIDE_ON.load(Ordering::Relaxed) {
-        let guard = OVERRIDE.read().unwrap_or_else(PoisonError::into_inner);
-        return guard.as_ref().and_then(|set| set.action_for(site, qualifiers));
-    }
-    if !*ENV_ARMED.get_or_init(|| !env_set().is_empty()) {
+    if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
-    env_set().action_for(site, qualifiers)
+    ARMED_SET
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .action_for(site, qualifiers)
 }
 
 /// Performs a hit of `site`: no-op when un-armed; sleeps and proceeds
@@ -268,12 +245,11 @@ pub fn trip(site: &str, qualifiers: &[(&str, u64)]) {
     }
 }
 
-/// Programmatic failpoint scenario for tests: installs a set that
-/// *replaces* the environment's (even an empty set, which disarms
-/// everything — baselines are computed under
-/// [`FailpointGuard::disabled`]), and restores the environment-driven
-/// behaviour on drop. Holding the guard serialises scenarios across
-/// threads, so parallel tests cannot contaminate each other.
+/// Failpoint scenario for tests: arms a set while held (an empty set
+/// arms nothing — baselines are computed under
+/// [`FailpointGuard::disabled`]) and disarms on drop. Holding the guard
+/// serialises scenarios across threads, so parallel tests cannot
+/// contaminate each other.
 #[derive(Debug)]
 pub struct FailpointGuard {
     _scenario: MutexGuard<'static, ()>,
@@ -283,13 +259,14 @@ impl FailpointGuard {
     /// Installs `set` as the live failpoint scenario.
     pub fn install(set: FailpointSet) -> FailpointGuard {
         let scenario = SCENARIO.lock().unwrap_or_else(PoisonError::into_inner);
-        *OVERRIDE.write().unwrap_or_else(PoisonError::into_inner) = Some(set);
-        OVERRIDE_ON.store(true, Ordering::SeqCst);
+        let armed = !set.is_empty();
+        *ARMED_SET.write().unwrap_or_else(PoisonError::into_inner) = set;
+        ARMED.store(armed, Ordering::SeqCst);
         FailpointGuard { _scenario: scenario }
     }
 
-    /// Parses and installs a spec string (same grammar as
-    /// [`FAILPOINTS_ENV`]).
+    /// Parses and installs a spec string (see the module docs for the
+    /// grammar).
     ///
     /// # Panics
     ///
@@ -301,8 +278,8 @@ impl FailpointGuard {
         Self::install(set)
     }
 
-    /// Disarms every failpoint (environment included) while held — how
-    /// chaos tests compute their uninjected baselines.
+    /// Disarms every failpoint while held — how chaos tests compute
+    /// their uninjected baselines.
     pub fn disabled() -> FailpointGuard {
         Self::install(FailpointSet::default())
     }
@@ -310,8 +287,8 @@ impl FailpointGuard {
 
 impl Drop for FailpointGuard {
     fn drop(&mut self) {
-        OVERRIDE_ON.store(false, Ordering::SeqCst);
-        *OVERRIDE.write().unwrap_or_else(PoisonError::into_inner) = None;
+        ARMED.store(false, Ordering::SeqCst);
+        *ARMED_SET.write().unwrap_or_else(PoisonError::into_inner) = FailpointSet::default();
     }
 }
 

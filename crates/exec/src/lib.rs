@@ -7,9 +7,9 @@
 //! This crate centralises that discipline so no call site hand-rolls
 //! its own `std::thread::scope` + chunk/merge bookkeeping:
 //!
-//! * [`ShardPlan`] carries the tunables: worker count
-//!   ([`THREADS_ENV`] overridable), scheduling strategy
-//!   ([`SCHED_ENV`] overridable) and the stealing block size.
+//! * [`ShardPlan`] carries the tunables: worker count, scheduling
+//!   strategy and the stealing block size. It is an explicit value the
+//!   caller passes in; nothing in this crate reads the environment.
 //! * [`ShardStrategy::Cost`] (the default) splits items into contiguous
 //!   chunks whose *estimated cost* is balanced: callers supply a
 //!   per-item cost closure and the chunk boundaries are computed once
@@ -40,24 +40,27 @@
 //! callers cooperative cancellation and deadlines checked at item,
 //! segment and block boundaries with clean teardown.
 //!
-//! Three supporting modules round out the crate:
+//! Two supporting modules round out the crate:
 //!
-//! * [`env`] centralises the `ESRAM_*` knob parsing (warn-once fallback
-//!   on malformed values) so every knob shares one discipline.
 //! * [`calibrate`] prices work items: the checked-in
 //!   [`CostCalibration::MEASURED`] table maps each [`CostDomain`]
 //!   (fault sim, diagnosis, SoC build) to measured
 //!   `fixed + unit · units` picosecond weights. The table moves shard
 //!   *boundaries* only — results are byte-identical under any table.
 //! * [`failpoint`] deterministically injects panics/errors/delays at
-//!   named sites ([`FAILPOINTS_ENV`], e.g. `diag.segment@job=3:panic`),
-//!   zero-cost when unset — the substrate for the chaos test suites.
+//!   named sites, armed from code by a [`FailpointGuard`] (e.g.
+//!   `diag.segment@job=3:panic`) and one relaxed load when unarmed —
+//!   the substrate for the chaos test suites.
+//!
+//! **Configuration is explicit.** A run is configured by the values its
+//! caller passes: a [`ShardPlan`] for threads, strategy and block size;
+//! the schemes' and fault simulator's `with_kernel` for the kernel; a
+//! [`FailpointGuard`] for injected failures.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod calibrate;
-pub mod env;
 pub mod error;
 pub mod executor;
 pub mod failpoint;
@@ -65,13 +68,9 @@ pub mod plan;
 pub mod token;
 
 pub use calibrate::{CostCalibration, CostDomain, DomainWeights};
-pub use env::{
-    parse_spec_out, spec_out_from_env, EnvFallback, FaultSimKernel, FAULTSIM_KERNEL_ENV, SPEC_OUT_ENV,
-};
 pub use error::{panic_payload, ExecError, ItemFault};
-pub use failpoint::{FailAction, Failpoint, FailpointGuard, FailpointSet, InjectedFailure, FAILPOINTS_ENV};
+pub use failpoint::{FailAction, Failpoint, FailpointGuard, FailpointSet, InjectedFailure};
 pub use plan::{
     block_ranges, cost_ranges, even_ranges, steal_schedule, ShardPlan, ShardStrategy, DEFAULT_BLOCK_SIZE,
-    SCHED_ENV, THREADS_ENV,
 };
 pub use token::RunToken;

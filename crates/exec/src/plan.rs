@@ -1,9 +1,9 @@
 //! Shard plans and the pure partition functions they derive.
 //!
 //! A [`ShardPlan`] captures the executor's tunables — worker count,
-//! scheduling strategy and the stealing block size — with defaults
-//! taken from the machine's available parallelism and the
-//! [`THREADS_ENV`] / [`SCHED_ENV`] environment variables. The
+//! scheduling strategy and the stealing block size — as one explicit
+//! value; its default takes the worker count from the machine's
+//! available parallelism and reads no environment. The
 //! partition functions ([`even_ranges`], [`cost_ranges`],
 //! [`block_ranges`], [`steal_schedule`]) are pure functions of their
 //! inputs, exposed so tests and benches can reason about the exact
@@ -11,19 +11,6 @@
 
 use std::fmt;
 use std::ops::Range;
-
-use crate::env::{self, EnvFallback};
-
-/// Environment variable overriding the default worker count used by
-/// [`ShardPlan::from_env`]. Values that are not a positive integer fall
-/// back to the auto-detected parallelism.
-pub const THREADS_ENV: &str = "ESRAM_DIAG_THREADS";
-
-/// Environment variable overriding the default scheduling strategy used
-/// by [`ShardPlan::from_env`]: `cost` or `steal` (case-insensitive).
-/// Unrecognised values — including the retired `even` — fall back to
-/// the default ([`ShardStrategy::Cost`]) with a warning.
-pub const SCHED_ENV: &str = "ESRAM_DIAG_SCHED";
 
 /// Default block size for [`ShardStrategy::Steal`]: small enough that a
 /// run of expensive items cannot hide inside one block, large enough
@@ -51,16 +38,6 @@ pub enum ShardStrategy {
 }
 
 impl ShardStrategy {
-    /// Parses an environment-variable value (`cost` / `steal`,
-    /// case-insensitive, surrounding whitespace ignored).
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "cost" => Some(ShardStrategy::Cost),
-            "steal" => Some(ShardStrategy::Steal),
-            _ => None,
-        }
-    }
-
     /// All strategies, for determinism sweeps.
     pub fn all() -> [ShardStrategy; 2] {
         [ShardStrategy::Cost, ShardStrategy::Steal]
@@ -103,55 +80,6 @@ impl ShardPlan {
             strategy: ShardStrategy::default(),
             block_size: DEFAULT_BLOCK_SIZE,
         }
-    }
-
-    /// The default plan: [`THREADS_ENV`] if set to a positive integer
-    /// (otherwise the machine's available parallelism, 1 if unknown),
-    /// with the strategy taken from [`SCHED_ENV`] if set to a
-    /// recognised name.
-    ///
-    /// A knob that is set but malformed (`ESRAM_DIAG_THREADS=0`, a
-    /// garbled number, a typo'd strategy name) falls back to the same
-    /// default an unset knob gets — but loudly: a warning naming the
-    /// variable, the rejected value and the fallback is printed to
-    /// stderr, once per variable per process. A silently ignored typo
-    /// in a CI matrix would otherwise test the wrong configuration
-    /// while claiming to test the right one.
-    pub fn from_env() -> Self {
-        let (plan, fallbacks) = Self::from_env_values(
-            std::env::var(THREADS_ENV).ok().as_deref(),
-            std::env::var(SCHED_ENV).ok().as_deref(),
-        );
-        for fallback in &fallbacks {
-            fallback.warn_once();
-        }
-        plan
-    }
-
-    /// Pure core of [`ShardPlan::from_env`]: builds the plan from the
-    /// given raw knob values (`None` = unset) and reports a
-    /// [`EnvFallback`] for every knob that was set but malformed.
-    /// Exposed so the malformed cases are unit-testable without
-    /// mutating process-global environment state.
-    pub fn from_env_values(threads: Option<&str>, sched: Option<&str>) -> (Self, Vec<EnvFallback>) {
-        let mut fallbacks = Vec::new();
-        let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (parsed_threads, report) = env::parse_knob(
-            THREADS_ENV,
-            threads,
-            |raw| raw.trim().parse::<usize>().ok().filter(|&t| t >= 1),
-            || format!("auto-detected parallelism ({default_threads})"),
-        );
-        fallbacks.extend(report);
-        let mut plan = ShardPlan::with_threads(parsed_threads.unwrap_or(default_threads));
-        let (strategy, report) = env::parse_knob(SCHED_ENV, sched, ShardStrategy::parse, || {
-            format!("default strategy ({})", ShardStrategy::default())
-        });
-        fallbacks.extend(report);
-        if let Some(strategy) = strategy {
-            plan = plan.with_strategy(strategy);
-        }
-        (plan, fallbacks)
     }
 
     /// Selects the scheduling strategy.
@@ -199,8 +127,10 @@ impl ShardPlan {
 }
 
 impl Default for ShardPlan {
+    /// The machine's available parallelism (1 if unknown), with the
+    /// [`ShardStrategy::Cost`] strategy and [`DEFAULT_BLOCK_SIZE`].
     fn default() -> Self {
-        ShardPlan::from_env()
+        ShardPlan::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
@@ -360,19 +290,10 @@ mod tests {
 
     #[test]
     fn default_plan_has_at_least_one_thread() {
-        assert!(ShardPlan::default().threads() >= 1);
-    }
-
-    #[test]
-    fn strategy_parses_case_insensitively() {
-        assert_eq!(ShardStrategy::parse(" COST "), Some(ShardStrategy::Cost));
-        assert_eq!(ShardStrategy::parse("steal"), Some(ShardStrategy::Steal));
-        assert_eq!(ShardStrategy::parse("work-stealing"), None);
-        // The retired equal-count strategy is refused, not run as `cost`.
-        assert_eq!(ShardStrategy::parse("even"), None);
-        for strategy in ShardStrategy::all() {
-            assert_eq!(ShardStrategy::parse(&strategy.to_string()), Some(strategy));
-        }
+        let plan = ShardPlan::default();
+        assert!(plan.threads() >= 1);
+        assert_eq!(plan.strategy(), ShardStrategy::Cost);
+        assert_eq!(plan.block_size(), DEFAULT_BLOCK_SIZE);
     }
 
     fn assert_covers(ranges: &[Range<usize>], items: usize) {
@@ -459,59 +380,6 @@ mod tests {
         let mut all: Vec<Range<usize>> = schedule.into_iter().flatten().collect();
         all.sort_by_key(|r| r.start);
         assert_covers(&all, costs.len());
-    }
-
-    #[test]
-    fn env_knobs_round_trip_through_parse() {
-        // `from_env` must at minimum produce a valid plan; the exact
-        // values depend on the ambient environment (the CI matrix sets
-        // both knobs), so only invariants are asserted here.
-        let plan = ShardPlan::from_env();
-        assert!(plan.threads() >= 1);
-        assert!(plan.block_size() >= 1);
-    }
-
-    #[test]
-    fn well_formed_env_values_parse_without_fallbacks() {
-        let (plan, fallbacks) = ShardPlan::from_env_values(Some("7"), Some(" Steal "));
-        assert!(fallbacks.is_empty());
-        assert_eq!(plan.threads(), 7);
-        assert_eq!(plan.strategy(), ShardStrategy::Steal);
-
-        // Unset knobs are not fallbacks — nothing was rejected.
-        let (plan, fallbacks) = ShardPlan::from_env_values(None, None);
-        assert!(fallbacks.is_empty());
-        assert!(plan.threads() >= 1);
-        assert_eq!(plan.strategy(), ShardStrategy::default());
-    }
-
-    #[test]
-    fn malformed_thread_count_falls_back_loudly() {
-        for bad in ["0", "garbage", "-3", "1.5", ""] {
-            let (plan, fallbacks) = ShardPlan::from_env_values(Some(bad), None);
-            assert!(plan.threads() >= 1, "{bad:?} must still yield a usable plan");
-            assert_eq!(fallbacks.len(), 1, "{bad:?} must be reported");
-            assert_eq!(fallbacks[0].variable, THREADS_ENV);
-            assert_eq!(fallbacks[0].rejected, bad);
-            assert!(fallbacks[0].fallback.contains("auto-detected"));
-        }
-    }
-
-    #[test]
-    fn malformed_strategy_falls_back_loudly() {
-        // "stael" is the CI-matrix typo that motivated the warning.
-        let (plan, fallbacks) = ShardPlan::from_env_values(None, Some("stael"));
-        assert_eq!(plan.strategy(), ShardStrategy::default());
-        assert_eq!(fallbacks.len(), 1);
-        assert_eq!(fallbacks[0].variable, SCHED_ENV);
-        assert_eq!(fallbacks[0].rejected, "stael");
-        assert!(fallbacks[0].fallback.contains("cost"));
-
-        // Both knobs malformed: both reported, in knob order.
-        let (_, fallbacks) = ShardPlan::from_env_values(Some("zero"), Some("stael"));
-        assert_eq!(fallbacks.len(), 2);
-        assert_eq!(fallbacks[0].variable, THREADS_ENV);
-        assert_eq!(fallbacks[1].variable, SCHED_ENV);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!   aggressor stays broadcast); stuck-open, decoder and failing-golden
 //!   faults fall back to the per-fault path, which
 //!   [`FaultSimKernel::PerMemory`] retains wholesale as the equivalence
-//!   oracle ([`crate::FAULTSIM_KERNEL_ENV`]). Outcomes are unpacked back into
+//!   oracle ([`FaultSimulator::with_kernel`] selects it). Outcomes are unpacked back into
 //!   exact universe order, so the kernels are byte-identical — the
 //!   `lane_kernel_equivalence` suite proves it per fault class.
 //! * **Sharded** — the universe runs on the deterministic executor
@@ -61,10 +61,52 @@ use crate::coverage::CoverageReport;
 use crate::engine::{FailureRecord, MarchRunner, RunOutcome};
 use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-use crate::shard::{failpoint, CostCalibration, CostDomain, ExecError, FaultSimKernel, RunToken, ShardPlan};
+use crate::shard::{failpoint, CostCalibration, CostDomain, ExecError, RunToken, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
 use sram_model::{Address, CellFault, FailingBits, LanePlanes, MemConfig, Sram};
 use std::collections::BTreeMap;
+
+/// Which fault-simulation kernel a [`FaultSimulator`] runs. The two
+/// kernels are byte-identical on every outcome; the choice only moves
+/// work between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FaultSimKernel {
+    /// Lane-parallel kernel: up to 64 faulty machines per schedule
+    /// replay, one per bit lane of a `u64`, with per-fault fallback for
+    /// the classes the lane transposition cannot express.
+    #[default]
+    Lanes,
+    /// The original per-fault kernel: one full (row-pruned) schedule
+    /// replay on a dedicated memory per fault. Kept as the equivalence
+    /// oracle and frozen performance comparator.
+    PerMemory,
+}
+
+impl FaultSimKernel {
+    /// Parses a kernel name (`lanes` / `permem` and their long
+    /// spellings, case-insensitive); unknown values yield `None`.
+    pub fn parse(raw: &str) -> Option<Self> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "lanes" | "lane" | "lane-parallel" => Some(FaultSimKernel::Lanes),
+            "permem" | "per-memory" | "permemory" => Some(FaultSimKernel::PerMemory),
+            _ => None,
+        }
+    }
+
+    /// Every kernel, for exhaustive equivalence sweeps.
+    pub fn all() -> [FaultSimKernel; 2] {
+        [FaultSimKernel::Lanes, FaultSimKernel::PerMemory]
+    }
+}
+
+impl std::fmt::Display for FaultSimKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultSimKernel::Lanes => write!(f, "lanes"),
+            FaultSimKernel::PerMemory => write!(f, "permem"),
+        }
+    }
+}
 
 /// Outcome of simulating one fault instance against one programme.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,19 +187,18 @@ struct UniversePrep<'a> {
 }
 
 impl FaultSimulator {
-    /// Creates a simulator for the given geometry, reading the
-    /// fault-simulation kernel from [`crate::FAULTSIM_KERNEL_ENV`] (default:
-    /// lane-parallel).
+    /// Creates a simulator for the given geometry under the default
+    /// lane-parallel kernel.
     pub fn new(config: MemConfig) -> Self {
         FaultSimulator {
             config,
-            kernel: FaultSimKernel::from_env(),
+            kernel: FaultSimKernel::Lanes,
         }
     }
 
-    /// Returns a copy of the simulator pinned to an explicit kernel,
-    /// ignoring the environment — how the equivalence suites and the
-    /// frozen benchmark comparator select the per-memory oracle.
+    /// Returns a copy of the simulator pinned to an explicit kernel —
+    /// how the equivalence suites and the frozen benchmark comparator
+    /// select the per-memory oracle.
     pub fn with_kernel(mut self, kernel: FaultSimKernel) -> Self {
         self.kernel = kernel;
         self
@@ -480,8 +521,7 @@ impl FaultSimulator {
     }
 
     /// Simulates every fault of a universe against a schedule with the
-    /// default [`ShardPlan`] (available cores, overridable through the
-    /// [`crate::shard::THREADS_ENV`] environment variable). Outcomes are
+    /// default [`ShardPlan`] (available cores). Outcomes are
     /// returned in exact universe order regardless of the plan.
     pub fn simulate_universe(&self, schedule: &MarchSchedule, universe: &FaultList) -> Vec<FaultSimOutcome> {
         self.simulate_universe_with(ShardPlan::default(), schedule, universe)
@@ -995,6 +1035,26 @@ mod tests {
 
     fn universe() -> FaultUniverse {
         FaultUniverse::new(config())
+    }
+
+    #[test]
+    fn faultsim_kernel_parses_every_supported_spelling() {
+        for kernel in FaultSimKernel::all() {
+            // The canonical Display spelling round-trips.
+            assert_eq!(FaultSimKernel::parse(&kernel.to_string()), Some(kernel));
+        }
+        assert_eq!(FaultSimKernel::parse(" LANES "), Some(FaultSimKernel::Lanes));
+        assert_eq!(
+            FaultSimKernel::parse("lane-parallel"),
+            Some(FaultSimKernel::Lanes)
+        );
+        assert_eq!(
+            FaultSimKernel::parse("per-memory"),
+            Some(FaultSimKernel::PerMemory)
+        );
+        assert_eq!(FaultSimKernel::parse("lnaes"), None);
+        assert_eq!(FaultSimKernel::parse(""), None);
+        assert_eq!(FaultSimulator::new(config()).kernel(), FaultSimKernel::Lanes);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod shard;
 pub use background::{BackgroundPatterns, DataBackground};
 pub use coverage::{ClassCoverage, CoverageReport};
 pub use engine::{FailureRecord, MarchRunner, RunOutcome};
-pub use fault_sim::{FaultSimOutcome, FaultSimulator, UniverseJob};
+pub use fault_sim::{FaultSimKernel, FaultSimOutcome, FaultSimulator, UniverseJob};
 pub use ops::{AddressOrder, MarchElement, MarchOp, MarchTest};
 pub use schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
-pub use shard::{FaultSimKernel, ShardPlan, ShardStrategy, FAULTSIM_KERNEL_ENV};
+pub use shard::{ShardPlan, ShardStrategy};

@@ -17,10 +17,10 @@ pub struct DiagnosisPlan {
     pub name: String,
     /// The resolved scheme configuration, shared by every job.
     pub scheme: SchemeConfig,
-    /// Kernel override; `None` inherits `ESRAM_DIAG_KERNEL`.
+    /// Kernel pin; `None` keeps the scheme's bit-parallel default.
     pub kernel: Option<DiagnosisKernel>,
     /// Fault-simulation kernel pin for any fault simulation the run
-    /// performs; `None` inherits `ESRAM_FAULTSIM_KERNEL`. Report bytes
+    /// performs; `None` keeps the lane-parallel default. Report bytes
     /// are identical under either kernel (the lane kernel is exactly
     /// equivalent to the per-memory oracle), so this only pins
     /// reproducibility, never results.
@@ -83,8 +83,8 @@ impl SchemeConfig {
 /// Report settings carried from the spec.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportConfig {
-    /// Output directory override from the spec (`--out` and
-    /// `ESRAM_SPEC_OUT` take precedence at the CLI layer).
+    /// Output directory override from the spec (`--out` takes
+    /// precedence at the CLI layer).
     pub dir: Option<String>,
     /// Whether per-job located sites are listed in the report.
     pub sites: bool,

@@ -2,8 +2,8 @@
 //!
 //! [`execute_plan`] runs every job of a [`DiagnosisPlan`] and folds the
 //! outcomes into one JSON report. Fast-scheme jobs batch into a single
-//! [`FleetRunner`] run — a sweep is a fleet, so it inherits the
-//! executor's strategy/calibration knobs and the per-job fault domains
+//! [`FleetRunner`] run — a sweep is a fleet, so it runs under the
+//! caller's [`ShardPlan`] with the per-job fault domains
 //! (one failed grid point reports `"status": "failed"` without taking
 //! the sweep down). Baseline jobs run one population at a time, since
 //! the Huang scheme shards inside each global iteration instead.
@@ -13,7 +13,8 @@
 //! scores, simulated diagnosis times (cycle counts times the spec's
 //! clock, not wall-clock). Nothing in it depends on worker count,
 //! scheduling strategy, kernel choice or machine speed, which is what
-//! lets CI `cmp` reports across the whole determinism matrix.
+//! lets the conformance suite compare report bytes across every thread
+//! count, strategy and kernel.
 
 use crate::json::Json;
 use crate::plan::{DiagnosisPlan, PlannedJob, SchemeConfig};

@@ -34,8 +34,8 @@
 //! max_iterations = 4096   # (4096) baseline only
 //!
 //! [execution]
-//! kernel = "bit-parallel" # (inherit ESRAM_DIAG_KERNEL) or "per-memory"
-//! faultsim_kernel = "lanes" # (inherit ESRAM_FAULTSIM_KERNEL) or "permem"
+//! kernel = "bit-parallel" # ("bit-parallel") or "per-memory"
+//! faultsim_kernel = "lanes" # ("lanes") or "permem"
 //!
 //! [sweep]                 # optional; axes form a cartesian job grid
 //! defect_rates = [0.001, 0.01, 0.1]
@@ -75,10 +75,10 @@ pub struct ScenarioSpec {
     pub defects: DefectSpec,
     /// Diagnosis scheme settings.
     pub scheme: SchemeSpec,
-    /// Kernel override; `None` inherits `ESRAM_DIAG_KERNEL`.
+    /// Kernel pin; `None` keeps the scheme's bit-parallel default.
     pub kernel: Option<DiagnosisKernel>,
-    /// Fault-simulation kernel pin; `None` inherits
-    /// `ESRAM_FAULTSIM_KERNEL`.
+    /// Fault-simulation kernel pin; `None` keeps the lane-parallel
+    /// default.
     pub faultsim_kernel: Option<FaultSimKernel>,
     /// Sweep axes (empty = single job).
     pub sweep: SweepSpec,
@@ -183,7 +183,7 @@ pub struct SweepSpec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportSpec {
     /// Output directory; `None` means `esram-out/<name>` (the CLI's
-    /// `--out` flag and `ESRAM_SPEC_OUT` both override it).
+    /// `--out` flag overrides it).
     pub dir: Option<String>,
     /// Whether the report lists every located site per job.
     pub sites: bool,
@@ -431,12 +431,27 @@ fn validate_layout(doc: &TomlDocument) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// Largest total cell count of one job (all its `[[memory]]` groups).
+///
+/// A packed memory stores each word in whole 64-bit limbs, so a
+/// 1-bit-wide memory costs 8 bytes per cell — the worst case. At that
+/// rate this cap keeps one job's packed state within 1 GiB; a larger
+/// spec is rejected at validation instead of aborting on allocation.
+pub const MAX_JOB_CELLS: u64 = (1 << 30) / 8;
+
+/// Largest number of memories in one job. Every memory also carries
+/// fixed per-member state (serial converters, golden store, fault
+/// overlay), so a job of many tiny memories is capped on its member
+/// count as well as on [`MAX_JOB_CELLS`].
+pub const MAX_JOB_MEMORIES: u64 = 1 << 16;
+
 fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
     let groups = doc
         .array("memory")
         .ok_or_else(|| SpecError::new(SpecErrorKind::EmptyMemories, FILE_SPAN))?;
     let mut memories = Vec::with_capacity(groups.len());
     let mut total_cells: u64 = 0;
+    let mut total_memories: u64 = 0;
     for (span, table) in groups {
         let group = Section { span: *span, table };
         group.check_keys(&["count", "words", "width"])?;
@@ -467,21 +482,30 @@ fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
             ));
         }
         // Reject here so every size product downstream (cells per
-        // group, per job, the memory count) fits in a u64.
-        match (count as u64)
+        // group, per job, the memory count) fits in a u64 and one job's
+        // state fits the budget.
+        let Some(total) = (count as u64)
             .checked_mul(words)
             .and_then(|cells| cells.checked_mul(width as u64))
             .and_then(|cells| total_cells.checked_add(cells))
-        {
-            Some(total) => total_cells = total,
-            None => {
-                return Err(SpecError::new(
-                    SpecErrorKind::InvalidGeometry(format!(
-                        "{count} memories x {words} words x {width} bits overflows the u64 cell count"
-                    )),
-                    *span,
-                ));
-            }
+        else {
+            return Err(SpecError::new(
+                SpecErrorKind::InvalidGeometry(format!(
+                    "{count} memories x {words} words x {width} bits overflows the u64 cell count"
+                )),
+                *span,
+            ));
+        };
+        total_cells = total;
+        total_memories = total_memories.saturating_add(count as u64);
+        if total_cells > MAX_JOB_CELLS || total_memories > MAX_JOB_MEMORIES {
+            return Err(SpecError::new(
+                SpecErrorKind::InvalidGeometry(format!(
+                    "the job holds {total_memories} memories and {total_cells} cells; \
+                     one job allows at most {MAX_JOB_MEMORIES} memories and {MAX_JOB_CELLS} cells"
+                )),
+                *span,
+            ));
         }
         memories.push(MemoryGroup { count, words, width });
     }
@@ -974,7 +998,7 @@ mod tests {
         assert_eq!(spec.compile().faultsim_kernel, Some(FaultSimKernel::Lanes));
         let reparsed = ScenarioSpec::parse(&spec.to_toml()).unwrap();
         assert_eq!(spec, reparsed);
-        // The env-knob aliases parse here too.
+        // The long spellings parse too.
         let aliased = source.replace("\"lanes\"", "\"per-memory\"");
         let spec = ScenarioSpec::parse(&aliased).unwrap();
         assert_eq!(spec.faultsim_kernel, Some(FaultSimKernel::PerMemory));

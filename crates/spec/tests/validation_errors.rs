@@ -194,7 +194,7 @@ fn invalid_geometry() {
 fn cell_count_overflow_is_invalid_geometry() {
     // count × words × width wraps a u64: rejected at the group header.
     let error = reject(
-        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 4000000000\nwords = 4000000000000\nwidth = 128\n",
+        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 9000000000000000000\nwords = 512\nwidth = 100\n",
     );
     assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
     assert_eq!(
@@ -203,10 +203,42 @@ fn cell_count_overflow_is_invalid_geometry() {
     );
     // Groups that fit alone but not together are rejected at the group
     // that tips the job total over.
-    let group = "[[memory]]\ncount = 1000000\nwords = 1000000000000\nwidth = 16\n";
+    let group = "[[memory]]\ncount = 1024\nwords = 1024\nwidth = 100\n";
     let error = reject(&format!("[scenario]\nname = \"x\"\n\n{group}\n{group}"));
     assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
     assert_eq!(error.span.line, 9);
+}
+
+#[test]
+fn huge_memory_count_exceeds_the_job_budget() {
+    // 1e11 memories of 64 × 8 cells: far past `MAX_JOB_CELLS`, rejected
+    // at the group header before anything is allocated.
+    let error =
+        reject("[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 100000000000\nwords = 64\nwidth = 8\n");
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    assert_eq!(error.span.line, 4, "budget errors anchor at the [[memory]] group");
+    // Many tiny memories hit the member cap even within the cell cap.
+    let members = esram_spec::spec::MAX_JOB_MEMORIES + 1;
+    let error = reject(&format!(
+        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = {members}\nwords = 1\nwidth = 1\n"
+    ));
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    // The largest job the budget allows still validates.
+    let cells = esram_spec::spec::MAX_JOB_CELLS / 128;
+    ScenarioSpec::parse(&format!(
+        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = {}\nwords = 128\nwidth = 128\n",
+        cells / 128
+    ))
+    .expect("a job exactly at the cell budget is valid");
+}
+
+#[test]
+fn huge_word_count_is_invalid_geometry() {
+    // 1e12 words is past `MemConfig::MAX_WORDS`: rejected at the words key.
+    let error =
+        reject("[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 1\nwords = 1000000000000\nwidth = 8\n");
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    assert_eq!(error.span.line, 6, "depth errors anchor at the words key");
 }
 
 #[test]
@@ -250,7 +282,7 @@ fn unknown_kernel() {
 
 #[test]
 fn unknown_faultsim_kernel() {
-    // The same malformed value the CI env-guard rejects ambiently.
+    // A typo of `lanes`.
     let error = reject(&format!("{VALID}[execution]\nfaultsim_kernel = \"lnaes\"\n"));
     assert!(matches!(error.kind, SpecErrorKind::UnknownFaultSimKernel(name) if name == "lnaes"));
 }

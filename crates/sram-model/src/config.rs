@@ -98,14 +98,23 @@ impl MemConfig {
     /// data downstream, so construction rejects them up front.
     pub const MAX_WIDTH: usize = 128;
 
+    /// Deepest supported memory in words (2^20).
+    ///
+    /// The target is small distributed e-SRAMs (the paper's benchmark
+    /// has 512 words); the bound keeps one memory's packed planes at
+    /// most 16 MiB, so a typo'd depth is rejected instead of aborting
+    /// the process on allocation.
+    pub const MAX_WORDS: u64 = 1 << 20;
+
     /// Creates a memory configuration.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::InvalidConfig`] if `words` or `width` is
-    /// zero, or if `width` exceeds [`MemConfig::MAX_WIDTH`].
+    /// zero, or if `words` exceeds [`MemConfig::MAX_WORDS`] or `width`
+    /// exceeds [`MemConfig::MAX_WIDTH`].
     pub fn new(words: u64, width: usize) -> Result<Self, MemError> {
-        if words == 0 || width == 0 || width > Self::MAX_WIDTH {
+        if words == 0 || words > Self::MAX_WORDS || width == 0 || width > Self::MAX_WIDTH {
             return Err(MemError::InvalidConfig { words, width });
         }
         Ok(MemConfig { words, width })
@@ -233,6 +242,18 @@ mod tests {
         assert!(MemConfig::new(16, MemConfig::MAX_WIDTH).is_ok());
         // The paper's benchmark geometry stays comfortably inside.
         assert!(MemConfig::date2005_benchmark().width() <= MemConfig::MAX_WIDTH);
+    }
+
+    #[test]
+    fn new_rejects_depths_past_the_word_bound() {
+        assert!(MemConfig::new(MemConfig::MAX_WORDS, 8).is_ok());
+        assert_eq!(
+            MemConfig::new(MemConfig::MAX_WORDS + 1, 8),
+            Err(MemError::InvalidConfig {
+                words: MemConfig::MAX_WORDS + 1,
+                width: 8
+            })
+        );
     }
 
     #[test]

@@ -33,8 +33,9 @@ pub enum MemError {
         width: usize,
     },
     /// The memory configuration is invalid: zero words, zero width, or
-    /// a width past the supported maximum
-    /// ([`MemConfig::MAX_WIDTH`](crate::MemConfig::MAX_WIDTH)).
+    /// a depth or width past the supported maximum
+    /// ([`MemConfig::MAX_WORDS`](crate::MemConfig::MAX_WORDS),
+    /// [`MemConfig::MAX_WIDTH`](crate::MemConfig::MAX_WIDTH)).
     InvalidConfig {
         /// Requested number of words.
         words: u64,
@@ -68,9 +69,13 @@ impl fmt::Display for MemError {
             MemError::BitOutOfRange { bit, width } => {
                 write!(f, "bit index {bit} out of range for word width {width}")
             }
-            MemError::InvalidConfig { words, width } => {
-                write!(f, "invalid memory configuration: {words} words x {width} bits")
-            }
+            MemError::InvalidConfig { words, width } => write!(
+                f,
+                "invalid memory configuration: {words} words x {width} bits \
+                 (supported: 1..={} words, 1..={} bits)",
+                crate::MemConfig::MAX_WORDS,
+                crate::MemConfig::MAX_WIDTH
+            ),
             MemError::NoSpareAvailable { address } => {
                 write!(f, "no spare word available to repair address {address}")
             }
