@@ -57,7 +57,7 @@ pub use components::{AddressTrigger, ComparatorArray, DataBackgroundGenerator, M
 pub use fast::{DiagError, DrfMode, FastScheme, PopulationPlan, SegmentOutcome};
 pub use huang::HuangScheme;
 pub use kernel::DiagnosisKernel;
-pub use log::{DiagnosisLog, DiagnosisRecord, FaultSite};
+pub use log::{DiagnosisLog, DiagnosisRecord, FaultSite, SiteIndex};
 pub use population::GoldenStore;
 pub use result::DiagnosisResult;
 pub use scheme::{DiagnosisScheme, MemoryUnderDiagnosis};

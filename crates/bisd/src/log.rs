@@ -102,29 +102,37 @@ impl DiagnosisLog {
         self.records.is_empty()
     }
 
+    /// Sorts the log's located sites and failing words into a
+    /// [`SiteIndex`] in one pass over the records. Every per-memory
+    /// query below reads this index.
+    pub fn site_index(&self) -> SiteIndex {
+        let mut sites: Vec<FaultSite> = self.records.iter().flat_map(DiagnosisRecord::sites).collect();
+        let mut words: Vec<(MemoryId, Address)> =
+            self.records.iter().map(|r| (r.memory, r.address)).collect();
+        sites.sort_unstable();
+        sites.dedup();
+        words.sort_unstable();
+        words.dedup();
+        SiteIndex { sites, words }
+    }
+
     /// Distinct located fault sites, grouped per memory.
     pub fn sites_by_memory(&self) -> BTreeMap<MemoryId, BTreeSet<FaultSite>> {
-        let mut map: BTreeMap<MemoryId, BTreeSet<FaultSite>> = BTreeMap::new();
-        for record in &self.records {
-            for site in record.sites() {
-                map.entry(site.memory).or_default().insert(site);
-            }
-        }
-        map
+        self.site_index()
+            .sites
+            .chunk_by(|a, b| a.memory == b.memory)
+            .map(|group| (group[0].memory, group.iter().copied().collect()))
+            .collect()
     }
 
     /// Every distinct located fault site.
     pub fn sites(&self) -> BTreeSet<FaultSite> {
-        self.records.iter().flat_map(DiagnosisRecord::sites).collect()
+        self.site_index().sites.into_iter().collect()
     }
 
     /// Distinct failing word addresses of one memory (repair granularity).
     pub fn failing_addresses(&self, memory: MemoryId) -> BTreeSet<Address> {
-        self.records
-            .iter()
-            .filter(|r| r.memory == memory)
-            .map(|r| r.address)
-            .collect()
+        self.site_index().failing_addresses(memory).collect()
     }
 
     /// Merges another log into this one.
@@ -137,6 +145,59 @@ impl DiagnosisLog {
     /// sequence before reassembling the population log).
     pub fn into_records(self) -> Vec<DiagnosisRecord> {
         self.records
+    }
+}
+
+/// The distinct located sites and failing words of a [`DiagnosisLog`],
+/// each in one sorted, de-duplicated `Vec`.
+///
+/// Sites sort by memory, then address, then bit, so one memory's sites
+/// are a contiguous slice found by two binary searches; failing words
+/// `(memory, address)` sort the same way. Building the index costs
+/// O(R log R) for R log records, after which every per-memory query is
+/// O(log R).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SiteIndex {
+    sites: Vec<FaultSite>,
+    words: Vec<(MemoryId, Address)>,
+}
+
+impl SiteIndex {
+    /// Every distinct located site, in `(memory, address, bit)` order.
+    pub fn sites(&self) -> &[FaultSite] {
+        &self.sites
+    }
+
+    /// Number of distinct located sites.
+    pub fn len(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// True if no site was located.
+    pub fn is_empty(&self) -> bool {
+        self.sites.is_empty()
+    }
+
+    /// The distinct located sites of one memory, in `(address, bit)`
+    /// order (empty for a memory absent from the log).
+    pub fn memory_sites(&self, memory: MemoryId) -> &[FaultSite] {
+        let start = self.sites.partition_point(|site| site.memory < memory);
+        let len = self.sites[start..].partition_point(|site| site.memory == memory);
+        &self.sites[start..start + len]
+    }
+
+    /// The distinct failing word addresses of one memory, ascending.
+    pub fn failing_addresses(&self, memory: MemoryId) -> impl Iterator<Item = Address> + '_ {
+        let start = self.words.partition_point(|&(id, _)| id < memory);
+        self.words[start..]
+            .iter()
+            .take_while(move |&&(id, _)| id == memory)
+            .map(|&(_, address)| address)
+    }
+
+    /// True if any record of `memory` failed at `address`.
+    pub fn has_failing_address(&self, memory: MemoryId, address: Address) -> bool {
+        self.words.binary_search(&(memory, address)).is_ok()
     }
 }
 
@@ -188,6 +249,62 @@ mod tests {
             BTreeSet::from([Address::new(5)])
         );
         assert!(log.failing_addresses(MemoryId::new(7)).is_empty());
+    }
+
+    #[test]
+    fn site_index_sorts_and_deduplicates_sites_and_words() {
+        let site = |m: u32, a: u64, b: usize| FaultSite::new(MemoryId::new(m), Address::new(a), b);
+        let mut log = DiagnosisLog::new();
+        // Detection order is neither memory- nor address-sorted, and
+        // repeats both whole records and single sites.
+        log.push(record(4, 9, vec![3, 0]));
+        log.push(record(1, 5, vec![2]));
+        log.push(record(4, 2, vec![1]));
+        log.push(record(1, 5, vec![2])); // duplicate observation
+        log.push(record(4, 9, vec![0])); // site seen again, new record
+        log.push(record(1, 0, vec![]));
+        let index = log.site_index();
+        assert_eq!(
+            index.sites(),
+            &[site(1, 5, 2), site(4, 2, 1), site(4, 9, 0), site(4, 9, 3)]
+        );
+        assert_eq!(index.len(), 4);
+        assert!(!index.is_empty());
+        assert_eq!(index.memory_sites(MemoryId::new(1)), &[site(1, 5, 2)]);
+        assert_eq!(
+            index.memory_sites(MemoryId::new(4)),
+            &[site(4, 2, 1), site(4, 9, 0), site(4, 9, 3)]
+        );
+        // Memories absent from the log: below, between and above.
+        for absent in [0, 2, 7] {
+            assert!(index.memory_sites(MemoryId::new(absent)).is_empty());
+            assert_eq!(index.failing_addresses(MemoryId::new(absent)).count(), 0);
+        }
+        // A record without failing bits still names a failing word.
+        let words: Vec<Address> = index.failing_addresses(MemoryId::new(1)).collect();
+        assert_eq!(words, [Address::new(0), Address::new(5)]);
+        let words: Vec<Address> = index.failing_addresses(MemoryId::new(4)).collect();
+        assert_eq!(words, [Address::new(2), Address::new(9)]);
+        assert!(index.has_failing_address(MemoryId::new(1), Address::new(0)));
+        assert!(!index.has_failing_address(MemoryId::new(1), Address::new(9)));
+        assert!(!index.has_failing_address(MemoryId::new(7), Address::new(5)));
+        // The set-valued views agree with the index.
+        assert_eq!(log.sites().len(), 4);
+        assert_eq!(log.sites_by_memory().len(), 2);
+        assert_eq!(log.sites_by_memory()[&MemoryId::new(4)].len(), 3);
+    }
+
+    #[test]
+    fn empty_log_has_an_empty_index() {
+        let log = DiagnosisLog::new();
+        let index = log.site_index();
+        assert!(index.is_empty());
+        assert_eq!(index.len(), 0);
+        assert!(index.sites().is_empty());
+        assert!(index.memory_sites(MemoryId::new(0)).is_empty());
+        assert!(!index.has_failing_address(MemoryId::new(0), Address::new(0)));
+        assert!(log.sites_by_memory().is_empty());
+        assert!(log.failing_addresses(MemoryId::new(0)).is_empty());
     }
 
     #[test]

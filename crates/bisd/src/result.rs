@@ -46,12 +46,17 @@ impl DiagnosisResult {
 
     /// Distinct located fault sites of one memory.
     pub fn sites(&self, memory: MemoryId) -> BTreeSet<FaultSite> {
-        self.sites_by_memory().remove(&memory).unwrap_or_default()
+        self.log
+            .site_index()
+            .memory_sites(memory)
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// Total number of distinct located fault sites.
     pub fn located_count(&self) -> usize {
-        self.log.sites().len()
+        self.log.site_index().len()
     }
 
     /// Failing word addresses of one memory (the repair granularity).

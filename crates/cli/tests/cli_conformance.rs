@@ -167,6 +167,7 @@ fn malformed_specs_fail_with_span_bearing_errors() {
         "invalid/cell_overflow.toml",
         "invalid/huge_count.toml",
         "invalid/huge_words.toml",
+        "invalid/huge_sweep.toml",
     ] {
         let output = esram(&["compile", example(spec).to_str().unwrap()]);
         assert_eq!(output.status.code(), Some(1), "{spec} must exit 1: {output:?}");

@@ -6,7 +6,7 @@
 //! fabric — by diagnosing a single-memory population with exactly one
 //! fault injected at a time.
 
-use bisd::{DiagnosisScheme, MemoryUnderDiagnosis};
+use bisd::{DiagnosisScheme, FaultSite, MemoryUnderDiagnosis};
 use fault_models::{FaultList, MemoryFault};
 use march::CoverageReport;
 use sram_model::{MemConfig, MemoryId};
@@ -44,14 +44,13 @@ pub fn scheme_coverage<S: DiagnosisScheme>(
 
 fn locates(fault: &MemoryFault, result: &bisd::DiagnosisResult) -> bool {
     let memory = MemoryId::new(0);
+    let index = result.log.site_index();
     match fault {
-        MemoryFault::Cell { coord, .. } => result
-            .sites(memory)
-            .iter()
-            .any(|site| site.address == coord.address && site.bit == coord.bit),
-        MemoryFault::Decoder(decoder_fault) => {
-            result.failing_addresses(memory).contains(&decoder_fault.address)
-        }
+        MemoryFault::Cell { coord, .. } => index
+            .memory_sites(memory)
+            .binary_search(&FaultSite::new(memory, coord.address, coord.bit))
+            .is_ok(),
+        MemoryFault::Decoder(decoder_fault) => index.has_failing_address(memory, decoder_fault.address),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Scoring of a diagnosis result against the injected ground truth.
 
-use bisd::{DiagnosisResult, MemoryUnderDiagnosis};
+use bisd::{DiagnosisResult, FaultSite, MemoryUnderDiagnosis, SiteIndex};
 use fault_models::{FaultClass, MemoryFault};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -23,22 +23,29 @@ impl DiagnosisScore {
     /// Computes the score of `result` against the ground truth carried
     /// by `memories`.
     pub fn evaluate(memories: &[MemoryUnderDiagnosis], result: &DiagnosisResult) -> Self {
+        Self::from_index(memories, &result.log.site_index())
+    }
+
+    /// Computes the score against an already built [`SiteIndex`] of the
+    /// result's log: one memory's sites are a slice of the index, and
+    /// each injected fault is one binary search.
+    pub fn from_index(memories: &[MemoryUnderDiagnosis], index: &SiteIndex) -> Self {
         let mut score = DiagnosisScore::default();
         let mut matched_sites = 0usize;
         let mut total_sites = 0usize;
 
         for memory in memories {
-            let located = result.sites(memory.id);
+            let located = index.memory_sites(memory.id);
             total_sites += located.len();
             for fault in memory.injected.iter() {
                 *score.injected_by_class.entry(fault.class()).or_insert(0) += 1;
                 let hit = match fault {
                     MemoryFault::Cell { coord, .. } => located
-                        .iter()
-                        .any(|site| site.address == coord.address && site.bit == coord.bit),
-                    MemoryFault::Decoder(decoder_fault) => result
-                        .failing_addresses(memory.id)
-                        .contains(&decoder_fault.address),
+                        .binary_search(&FaultSite::new(memory.id, coord.address, coord.bit))
+                        .is_ok(),
+                    MemoryFault::Decoder(decoder_fault) => {
+                        index.has_failing_address(memory.id, decoder_fault.address)
+                    }
                 };
                 if hit {
                     *score.located_by_class.entry(fault.class()).or_insert(0) += 1;

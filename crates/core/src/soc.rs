@@ -284,9 +284,15 @@ impl Soc {
     /// Repairs every memory from a diagnosis result and returns the
     /// number of addresses that could not be repaired (spares exhausted).
     pub fn repair_from(&mut self, result: &DiagnosisResult) -> usize {
+        let index = result.log.site_index();
         self.memories
             .iter_mut()
-            .map(|m| m.repair_from(result).unrepaired.len())
+            .map(|m| {
+                m.backup
+                    .repair_all(index.failing_addresses(m.id))
+                    .unrepaired
+                    .len()
+            })
             .sum()
     }
 }

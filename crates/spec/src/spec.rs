@@ -221,7 +221,7 @@ impl ScenarioSpec {
         let defects = parse_defects(&doc)?;
         let scheme = parse_scheme(&doc)?;
         let (kernel, faultsim_kernel) = parse_execution(&doc)?;
-        let sweep = parse_sweep(&doc)?;
+        let sweep = parse_sweep(&doc, &memories)?;
         let report = parse_report(&doc)?;
 
         Ok(ScenarioSpec {
@@ -431,18 +431,22 @@ fn validate_layout(doc: &TomlDocument) -> Result<(), SpecError> {
     Ok(())
 }
 
-/// Largest total cell count of one job (all its `[[memory]]` groups).
+/// Largest total cell count of one job (all its `[[memory]]` groups),
+/// and of a whole plan (every `[sweep]` job together).
 ///
 /// A packed memory stores each word in whole 64-bit limbs, so a
 /// 1-bit-wide memory costs 8 bytes per cell — the worst case. At that
 /// rate this cap keeps one job's packed state within 1 GiB; a larger
 /// spec is rejected at validation instead of aborting on allocation.
+/// A fast-scheme sweep builds every job's population at once (one fleet
+/// run), so the same budget bounds jobs × job cells.
 pub const MAX_JOB_CELLS: u64 = (1 << 30) / 8;
 
-/// Largest number of memories in one job. Every memory also carries
-/// fixed per-member state (serial converters, golden store, fault
-/// overlay), so a job of many tiny memories is capped on its member
-/// count as well as on [`MAX_JOB_CELLS`].
+/// Largest number of memories in one job, and in a whole plan. Every
+/// memory also carries fixed per-member state (serial converters,
+/// golden store, fault overlay), so a job or sweep of many tiny
+/// memories is capped on its member count as well as on
+/// [`MAX_JOB_CELLS`].
 pub const MAX_JOB_MEMORIES: u64 = 1 << 16;
 
 fn parse_memories(doc: &TomlDocument) -> Result<Vec<MemoryGroup>, SpecError> {
@@ -711,12 +715,20 @@ fn parse_execution(doc: &TomlDocument) -> Result<ExecutionKnobs, SpecError> {
     Ok((kernel, faultsim_kernel))
 }
 
-fn parse_sweep(doc: &TomlDocument) -> Result<SweepSpec, SpecError> {
+fn parse_sweep(doc: &TomlDocument, memories: &[MemoryGroup]) -> Result<SweepSpec, SpecError> {
     let mut sweep = SweepSpec::default();
     let Some(table) = section(doc, "sweep") else {
         return Ok(sweep);
     };
     table.check_keys(&["defect_rates", "seeds"])?;
+    // Validation of `[[memory]]` already bounded one job, so these sums
+    // cannot overflow.
+    let job_cells: u64 = memories
+        .iter()
+        .map(|group| group.count as u64 * group.words * group.width as u64)
+        .sum();
+    let job_memories: u64 = memories.iter().map(|group| group.count as u64).sum();
+    let mut jobs: u64 = 1;
     if let Some(value) = table.get("defect_rates") {
         let items = as_array("defect_rates", value)?;
         if items.is_empty() {
@@ -732,6 +744,7 @@ fn parse_sweep(doc: &TomlDocument) -> Result<SweepSpec, SpecError> {
             }
             sweep.defect_rates.push(rate);
         }
+        jobs = check_plan_budget(jobs, items.len(), job_cells, job_memories, value.span)?;
     }
     if let Some(value) = table.get("seeds") {
         let items = as_array("seeds", value)?;
@@ -741,8 +754,33 @@ fn parse_sweep(doc: &TomlDocument) -> Result<SweepSpec, SpecError> {
         for item in items {
             sweep.seeds.push(as_u64("seeds", item)?);
         }
+        check_plan_budget(jobs, items.len(), job_cells, job_memories, value.span)?;
     }
     Ok(sweep)
+}
+
+/// Multiplies the plan's job count by one sweep axis and rejects the
+/// plan, at that axis, once all its jobs together exceed the one-job
+/// budget ([`MAX_JOB_CELLS`], [`MAX_JOB_MEMORIES`]).
+fn check_plan_budget(
+    jobs: u64,
+    axis_len: usize,
+    job_cells: u64,
+    job_memories: u64,
+    span: Span,
+) -> Result<u64, SpecError> {
+    let jobs = jobs.saturating_mul(axis_len as u64);
+    let within = |per_job: u64, cap: u64| jobs.checked_mul(per_job).is_some_and(|total| total <= cap);
+    if !within(job_cells, MAX_JOB_CELLS) || !within(job_memories, MAX_JOB_MEMORIES) {
+        return Err(SpecError::new(
+            SpecErrorKind::InvalidGeometry(format!(
+                "the sweep runs {jobs} jobs of {job_memories} memories and {job_cells} cells each; \
+                 the whole plan allows at most {MAX_JOB_MEMORIES} memories and {MAX_JOB_CELLS} cells"
+            )),
+            span,
+        ));
+    }
+    Ok(jobs)
 }
 
 fn parse_report(doc: &TomlDocument) -> Result<ReportSpec, SpecError> {

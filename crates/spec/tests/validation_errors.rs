@@ -233,6 +233,56 @@ fn huge_memory_count_exceeds_the_job_budget() {
 }
 
 #[test]
+fn huge_sweep_exceeds_the_plan_budget() {
+    // Each job sits exactly at `MAX_JOB_CELLS`; a fast-scheme sweep
+    // builds all of them at once, so 32 seeds are rejected at the
+    // `seeds` axis that tips the plan over the budget.
+    let job = "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 1024\nwords = 1024\nwidth = 128\n";
+    let seeds: Vec<String> = (1..=32).map(|seed| seed.to_string()).collect();
+    let error = reject(&format!("{job}\n[sweep]\nseeds = [{}]\n", seeds.join(", ")));
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    assert_eq!(
+        (error.span.line, error.span.col),
+        (10, 9),
+        "anchored at the seeds array"
+    );
+    // The rate axis alone can overflow it too, and is blamed first.
+    let error = reject(&format!(
+        "{job}\n[sweep]\ndefect_rates = [0.0, 0.01]\nseeds = [1]\n"
+    ));
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    assert_eq!(error.span.line, 10, "anchored at the defect_rates array");
+    // Within one axis the budget is the product of both: 2 rates x 2
+    // seeds of a quarter-budget job fit, a third seed does not.
+    let quarter = "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = 256\nwords = 1024\nwidth = 128\n";
+    ScenarioSpec::parse(&format!(
+        "{quarter}\n[sweep]\ndefect_rates = [0.0, 0.01]\nseeds = [1, 2]\n"
+    ))
+    .expect("a plan exactly at the budget is valid");
+    let error = reject(&format!(
+        "{quarter}\n[sweep]\ndefect_rates = [0.0, 0.01]\nseeds = [1, 2, 3]\n"
+    ));
+    assert_eq!(error.span.line, 11, "anchored at the seeds array");
+    // Many small members trip the plan's member cap.
+    let members = esram_spec::spec::MAX_JOB_MEMORIES / 2 + 1;
+    let error = reject(&format!(
+        "[scenario]\nname = \"x\"\n\n[[memory]]\ncount = {members}\nwords = 1\nwidth = 1\n\n[sweep]\nseeds = [1, 2]\n"
+    ));
+    assert!(matches!(error.kind, SpecErrorKind::InvalidGeometry(_)));
+    // Neither checked-in example comes near the budget.
+    for example in ["case_study_512x100", "defect_rate_sweep"] {
+        let path = format!("{}/../../examples/{example}.toml", env!("CARGO_MANIFEST_DIR"));
+        let spec = ScenarioSpec::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let plan = spec.compile();
+        let cells: u64 = plan.jobs.iter().map(|job| job.total_cells().unwrap()).sum();
+        assert!(
+            cells * 64 < esram_spec::spec::MAX_JOB_CELLS,
+            "{example}: {cells} cells"
+        );
+    }
+}
+
+#[test]
 fn huge_word_count_is_invalid_geometry() {
     // 1e12 words is past `MemConfig::MAX_WORDS`: rejected at the words key.
     let error =
