@@ -1,11 +1,14 @@
 //! P4: heterogeneous-universe scheduling — where even chunking loses.
 //!
-//! Real fault universes are cost-skewed: after golden-run-gated pruning,
-//! ~90 % of the faults (single-row classes) sweep one row each while the
-//! fallback classes (stuck-open, decoder) still sweep the whole address
-//! space — and universes are enumerated class by class, so the expensive
-//! faults *cluster* at the tail of the list. Contiguous equal-count
-//! chunks then hand one unlucky worker nearly all of the work.
+//! Fault universes are cost-skewed, and they are enumerated class by
+//! class, so faults of one cost *cluster* in the list. After
+//! golden-run-gated pruning every fault sweeps only its deviation rows:
+//! one row for the single-row classes, but 1–2 for a decoder fault and
+//! up to 5 for a stuck-open cell (its sense-amplifier echo also needs
+//! the neighbouring rows and the sweep ends). Here ~90 % of the faults
+//! cost one row and the stuck-open/decoder tail costs 1–5, so the skew
+//! is mild: contiguous equal-count chunks hand the tail worker about
+//! twice the ideal share, not nearly all of the work.
 //!
 //! This host may have a single core, so the bench measures what actually
 //! distinguishes the strategies: the **critical path** — the wall-clock
@@ -18,7 +21,7 @@
 //! `MODEL_WORKERS`-core machine would see:
 //!
 //! * `critical_path_even_8w` — equal-count chunks (the pre-executor
-//!   strategy): the tail chunk holds almost every fallback fault.
+//!   strategy): the tail chunk holds every stuck-open fault.
 //! * `critical_path_cost_8w` — cost-weighted chunk boundaries from
 //!   prefix sums of the per-fault cost.
 //! * `critical_path_steal_8w` — deterministic block-stealing under the
@@ -26,10 +29,15 @@
 //! * `whole_universe_sequential` — the total work, for reference (the
 //!   ideal critical path is total/8).
 //!
-//! The cost-weighted and stealing entries must beat the even one; the
-//! committed `BENCH_results.json` records the ratio, and the CI perf
-//! gate (`perf_gate --prefix fault_sim_heterogeneous/`) keeps every
-//! entry within 2x of it.
+//! The modeled cost-weighted and stealing bottlenecks must beat the
+//! even one (asserted below; on this universe they are 59 and 96 row
+//! units against 103). The measured entries need not order the same
+//! way: each run also pays one golden fault-free run of the schedule
+//! (the simulator's pruning gate) and the stuck-at faults ride 64-lane
+//! batches, fixed costs comparable to the modeled work. The committed
+//! `BENCH_results.json` records the entries, and the CI perf gate
+//! (`perf_gate --prefix fault_sim_heterogeneous/`) keeps every entry
+//! within 2x of it.
 
 use bench::print_section;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -49,10 +57,10 @@ fn benchmark_config() -> MemConfig {
     testutil::benchmark_geometry()
 }
 
-/// The mixed universe: 90 % pruned single-row stuck-at faults spread
-/// over the address space, 10 % full-sweep fallback faults (decoder +
-/// stuck-open) clustered at the tail, as class-by-class enumeration
-/// produces them. 400 faults at 512 x 100.
+/// The mixed universe: 90 % single-row stuck-at faults spread over the
+/// address space, 10 % decoder and stuck-open faults (1–5 pruned rows
+/// each, never lane-batched) clustered at the tail, as class-by-class
+/// enumeration produces them. 400 faults at 512 x 100.
 fn heterogeneous_universe(config: MemConfig) -> FaultList {
     let mut universe = FaultList::new();
     let rows = config.words();
@@ -143,16 +151,16 @@ fn bench_heterogeneous(c: &mut Criterion) {
 
     print_section("P4: heterogeneous-universe scheduling — modeled 8-worker critical paths");
     println!(
-        "universe: {} faults ({} single-row + {} full-sweep), total modeled cost {total} row-sweeps \
-         (ideal critical path {})",
+        "universe: {} faults ({} single-row + {} decoder/stuck-open at 1-5 rows each), \
+         total modeled cost {total} row units (ideal critical path {})",
         universe.len(),
         360,
         universe.len() - 360,
         total / MODEL_WORKERS as u128
     );
     println!(
-        "modeled bottleneck cost: even {even_cost}, cost-weighted {cost_cost} ({:.1}x better), \
-         stealing {steal_cost} ({:.1}x better)",
+        "modeled bottleneck cost (row units): even {even_cost}, cost-weighted {cost_cost} \
+         ({:.2}x better), stealing {steal_cost} ({:.2}x better)",
         even_cost as f64 / cost_cost as f64,
         even_cost as f64 / steal_cost as f64
     );

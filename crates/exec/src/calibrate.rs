@@ -26,6 +26,11 @@
 //! `build.fixed` is 0: construction is cell-dominated. Regenerating the
 //! ledger does **not** move the table; recalibrating is a deliberate
 //! edit of the constant below, reviewed like any other source change.
+//! The means quoted above are the ones the weights were derived from.
+//! The `whole_universe_sequential` row has since been re-recorded: its
+//! stuck-open and decoder faults now sweep 1–5 rows instead of 512, so
+//! its formula no longer describes the row and `sim.unit` awaits such a
+//! recalibration.
 //!
 //! The table influences **shard boundaries only, never results**: the
 //! executors guarantee byte-identical output at any cost model (the

@@ -18,20 +18,20 @@
 //!   per universe ([`SchedulePatterns`]) and borrowed by every run;
 //!   there is no per-fault `Sram` construction, programme clone or
 //!   pattern rebuild on the hot path.
-//! * **Pruned** — a fault confined to a single row (stuck-at,
-//!   transition, retention, read-disturb) only needs that row swept:
-//!   if a golden fault-free run of the schedule passes, reads of every
-//!   other row match by construction, so the simulator restricts the
-//!   address sweeps to the faulty row ([`MarchRunner::run_schedule_at`])
-//!   and substitutes the closed-form operation count. A coupling fault
-//!   involves exactly two rows (victim and aggressor), so it takes an
-//!   order-preserving two-row restricted sweep
-//!   ([`MarchRunner::run_schedule_rows`]) instead of the full fallback.
-//!   Faults with whole-memory behaviour (stuck-open sense-amp history,
-//!   decoder faults) and schedules whose golden run fails take the full
-//!   sweep, so outcomes are observationally identical either way —
+//! * **Pruned** — every modelled fault deviates only on a few rows: one
+//!   for the single-row cell classes (stuck-at, transition, retention,
+//!   read-disturb), victim and aggressor for coupling, the corrupted
+//!   address and its target for decoder faults, and at most five for a
+//!   stuck-open cell (see [`FaultSimulator::fault_cost`]). If a golden
+//!   fault-free run of the schedule passes, reads of every other row
+//!   match by construction, so the simulator runs one order-preserving
+//!   sweep restricted to those rows ([`MarchRunner::run_schedule_rows`])
+//!   and substitutes the closed-form operation count. Only schedules
+//!   whose golden run fails (and fault variants added later) take the
+//!   full sweep, so outcomes are observationally identical either way —
 //!   which the one-off [`FaultSimulator::simulate_fault_schedule`]
-//!   oracle and the sharded-determinism suite assert.
+//!   oracle, the `pruned_fallback_oracle` suite and the
+//!   sharded-determinism suite assert.
 //! * **Lane-parallel** — under the default [`FaultSimKernel::Lanes`]
 //!   kernel, up to 64 compatible faults share one schedule replay: each
 //!   fault becomes a bit lane of a [`LanePlanes`] memory and the
@@ -40,7 +40,7 @@
 //!   lanes. Single-row cell classes chunk freely; coupling faults batch
 //!   only with pairwise-disjoint victim+aggressor row sets (so every
 //!   aggressor stays broadcast); stuck-open, decoder and failing-golden
-//!   faults fall back to the per-fault path, which
+//!   faults take the (still row-pruned) per-fault path, which
 //!   [`FaultSimKernel::PerMemory`] retains wholesale as the equivalence
 //!   oracle ([`FaultSimulator::with_kernel`] selects it). Outcomes are unpacked back into
 //!   exact universe order, so the kernels are byte-identical — the
@@ -49,9 +49,9 @@
 //!   ([`ShardPlan::map_slots`]): the shardable items are the lane
 //!   batches plus the per-fault singles (or every fault alone under
 //!   the per-memory kernel), one reusable `Sram` per worker, a
-//!   per-item cost model (rows swept: 1 for pruned single-row
-//!   classes, 2 for coupling, the union row count for a lane batch,
-//!   the whole address space for fallback classes) steering
+//!   per-item cost model (rows swept: the pruned row count of a
+//!   single, the union row count for a lane batch, the whole address
+//!   space when the golden run fails) steering
 //!   cost-weighted chunking and block-stealing, and outcomes merged
 //!   back into exact universe order for every strategy and worker
 //!   count; per-shard [`CoverageReport`]s fold associatively.
@@ -179,7 +179,7 @@ struct UniversePrep<'a> {
     patterns: SchedulePatterns,
     /// True if a pristine memory passes the schedule — the precondition
     /// under which reads of fault-free rows are guaranteed to match and
-    /// single-row faults may skip every other row's sweep.
+    /// a fault may skip every row outside its deviation rows.
     golden_passed: bool,
     /// Operation count of a full run (closed form, identical for every
     /// fault), substituted into pruned outcomes.
@@ -233,8 +233,8 @@ impl FaultSimulator {
     /// fresh memory, always running the full address sweeps.
     ///
     /// This is the *unpruned oracle*: the batched universe entry points
-    /// skip the sweeps a single-row fault cannot influence, and the
-    /// regression suite asserts their outcomes equal this one's.
+    /// skip the rows a fault cannot influence, and the regression
+    /// suites assert their outcomes equal this one's.
     pub fn simulate_fault_schedule(&self, schedule: &MarchSchedule, fault: &MemoryFault) -> FaultSimOutcome {
         let mut sram = Sram::new(self.config);
         let patterns = SchedulePatterns::new(schedule, self.config.width());
@@ -264,27 +264,41 @@ impl FaultSimulator {
         }
     }
 
-    /// The rows a fault's observable behaviour is confined to, if any —
-    /// the pruning eligibility test. Returns the first row and, for
-    /// two-row faults, the second (strictly greater) row.
+    /// The rows a fault's observable behaviour is confined to —
+    /// ascending and distinct — or `None` when the fault must take the
+    /// full sweep: always when the golden run failed
+    /// (`golden_passed == false`), and for fault variants without a
+    /// locality argument. With a passing golden run every row outside
+    /// the returned set is fault-free and reads back its expected word,
+    /// so an order-preserving sweep restricted to the set observes
+    /// exactly the full sweep's failures:
     ///
-    /// Only fault models whose behaviour depends exclusively on the
-    /// operations addressed to the returned rows qualify:
-    ///
-    /// * single-row faults (stuck-at, transition, retention,
-    ///   read-disturb) involve one cell, so one row suffices;
-    /// * coupling faults involve exactly the victim and aggressor cells.
-    ///   The aggressor's state changes only on writes to its own row and
-    ///   the victim's deviation is observable only on its own row, so an
-    ///   *order-preserving* sweep restricted to the two rows applies the
-    ///   identical relative operation sequence to both cells that the
-    ///   full sweep would — the dominant pruning-fallback class in
-    ///   `date2005_baseline` universes now avoids full-sweep cost.
-    ///
-    /// Stuck-open faults (the observation replays the sense-amp history
-    /// left by *other* rows' reads), decoder faults (whole-address-space
-    /// behaviour) and any future variant take the full sweep.
-    fn prunable_rows(fault: &MemoryFault) -> Option<(Address, Option<Address>)> {
+    /// * single-row cell faults (stuck-at, transition, retention,
+    ///   read-disturb) involve one cell: `{r}`;
+    /// * coupling faults involve exactly the victim and aggressor cells:
+    ///   the aggressor's state changes only on writes to its own row and
+    ///   the victim's deviation is observable only on its own row, so
+    ///   the restricted sweep applies the identical relative operation
+    ///   sequence to both: `{victim row, aggressor row}`;
+    /// * decoder faults deviate only on their
+    ///   [`DecoderFault::deviation_rows`](sram_model::DecoderFault::deviation_rows):
+    ///   `{a}` for no-access, `{a, t}` for maps-to / also-accesses `t`;
+    /// * a stuck-open cell at row `r` echoes the sense amplifier's last
+    ///   value, so a read of `r` depends on the read just before it. In
+    ///   full-sweep order that read is at `r` itself (an earlier read of
+    ///   the same element step), at `r − 1` or `r + 1` (the previous
+    ///   step of the same element) or at the last row of an earlier
+    ///   element, which is always `0` or `N − 1`; before the schedule's
+    ///   first read the sense amplifier holds zero in both runs. Rows
+    ///   other than `r` are fault-free and read the same word in both
+    ///   runs. The restricted sweep over `{0, r − 1, r, r + 1, N − 1}`
+    ///   (clipped, de-duplicated) is a subsequence of the full one that
+    ///   keeps every such predecessor read, so no other read can fall
+    ///   between it and the read of `r`.
+    fn prunable_rows(&self, golden_passed: bool, fault: &MemoryFault) -> Option<Vec<Address>> {
+        if !golden_passed {
+            return None;
+        }
         match fault {
             MemoryFault::Cell { coord, fault } => match fault {
                 CellFault::StuckAt(_)
@@ -293,28 +307,26 @@ impl FaultSimulator {
                 | CellFault::DataRetention { .. }
                 | CellFault::ReadDestructive
                 | CellFault::DeceptiveReadDestructive
-                | CellFault::IncorrectRead => Some((coord.address, None)),
+                | CellFault::IncorrectRead => Some(vec![coord.address]),
                 CellFault::Coupling { aggressor, .. } => {
-                    let victim_row = coord.address;
-                    let aggressor_row = aggressor.address;
-                    if victim_row == aggressor_row {
-                        // Intra-word coupling degenerates to one row.
-                        Some((victim_row, None))
-                    } else {
-                        Some((victim_row.min(aggressor_row), Some(victim_row.max(aggressor_row))))
-                    }
+                    Some(sorted_distinct(vec![coord.address, aggressor.address]))
+                }
+                CellFault::StuckOpen => {
+                    let row = coord.address.index();
+                    let last = self.config.words() - 1;
+                    let rows = [0, row.saturating_sub(1), row, (row + 1).min(last), last];
+                    Some(sorted_distinct(rows.map(Address::new).to_vec()))
                 }
                 _ => None,
             },
-            MemoryFault::Decoder(_) => None,
+            MemoryFault::Decoder(decoder_fault) => Some(decoder_fault.deviation_rows()),
         }
     }
 
     /// Simulates one fault on a reusable memory: resets it to the
     /// pristine background, injects the fault and runs the borrowed
-    /// schedule — restricted to the faulty row when the fault qualifies
-    /// and the golden run passed. The hot inner step of every batched
-    /// entry point.
+    /// schedule — restricted to the fault's [`Self::prunable_rows`] when
+    /// it has them. The hot inner step of every batched entry point.
     fn simulate_fault_batched(
         &self,
         sram: &mut Sram,
@@ -326,16 +338,11 @@ impl FaultSimulator {
             .inject_into(sram)
             .expect("fault universe must match the simulator geometry");
         let runner = MarchRunner::new();
-        let run = match Self::prunable_rows(fault).filter(|_| prep.golden_passed) {
-            Some((row, second)) => {
-                let mut run = match second {
-                    None => runner
-                        .run_schedule_at(sram, prep.schedule, &prep.patterns, row)
-                        .expect("march programme must match the simulator geometry"),
-                    Some(other) => runner
-                        .run_schedule_rows(sram, prep.schedule, &prep.patterns, &[row, other])
-                        .expect("march programme must match the simulator geometry"),
-                };
+        let run = match self.prunable_rows(prep.golden_passed, fault) {
+            Some(rows) => {
+                let mut run = runner
+                    .run_schedule_rows(sram, prep.schedule, &prep.patterns, &rows)
+                    .expect("march programme must match the simulator geometry");
                 // The restricted sweep performed only the visited rows'
                 // share of the operations; report the whole memory's
                 // count, as the full run would.
@@ -361,7 +368,8 @@ impl FaultSimulator {
     ///   aggressor cell broadcast (fault-free in all lanes).
     /// * Everything else — stuck-open, decoder, self-coupled cells —
     ///   and *every* fault when the golden run failed or the kernel is
-    ///   [`FaultSimKernel::PerMemory`] stays a per-fault single.
+    ///   [`FaultSimKernel::PerMemory`] stays a per-fault single, which
+    ///   is row-pruned all the same ([`Self::prunable_rows`]).
     ///
     /// The work list orders batches first (construction order), then
     /// singles in universe order; the scatter back into universe-order
@@ -655,8 +663,8 @@ impl FaultSimulator {
     /// alone, at any strategy and worker count — flattening preserves
     /// (job, fault) order and per-fault outcomes are pure functions of
     /// their job's prep. The point of batching is the partition: a
-    /// worker finishing a cheap job's pruned faults immediately picks
-    /// up another job's full-sweep tail instead of idling at a job
+    /// worker finishing a cheap job's items immediately picks up
+    /// another job's expensive tail instead of idling at a job
     /// boundary.
     ///
     /// Degenerate inputs take documented early returns instead of
@@ -734,24 +742,20 @@ impl FaultSimulator {
     }
 
     /// Physical size of one fault's run: the number of rows its
-    /// (possibly pruned) sweep will visit. Pruned single-row classes
-    /// sweep one row, coupling faults two; fallback classes
-    /// (stuck-open, decoder) — and every fault when the golden run
-    /// failed (`golden_passed == false`) — sweep the whole address
-    /// space. The batched entry points price these row units through
-    /// the [`CostCalibration::MEASURED`] table (`FaultSim` domain) to steer the
-    /// cost-weighted and stealing strategies; neither the units nor the
-    /// calibration ever change outcomes, only the partition.
+    /// (possibly pruned) sweep will visit. With a passing golden run
+    /// that is the fault's deviation-row count — 1 for single-row cell
+    /// classes, 1–2 for coupling and decoder faults, and for a
+    /// stuck-open cell at row `r` the rows `{0, r − 1, r, r + 1, N − 1}`
+    /// (clipped, so 3 at either end of a large memory and 5 inside).
+    /// When the golden run failed (`golden_passed == false`) every
+    /// fault sweeps the whole address space. The batched entry points
+    /// price these row units through the [`CostCalibration::MEASURED`]
+    /// table (`FaultSim` domain) to steer the cost-weighted and
+    /// stealing strategies; neither the units nor the calibration ever
+    /// change outcomes, only the partition.
     pub fn fault_cost(&self, golden_passed: bool, fault: &MemoryFault) -> u64 {
-        let full_sweep = self.config.words();
-        if !golden_passed {
-            return full_sweep;
-        }
-        match Self::prunable_rows(fault) {
-            Some((_, None)) => 1,
-            Some((_, Some(_))) => 2,
-            None => full_sweep,
-        }
+        self.prunable_rows(golden_passed, fault)
+            .map_or(self.config.words(), |rows| rows.len() as u64)
     }
 
     fn locates(&self, fault: &MemoryFault, run: &RunOutcome) -> bool {
@@ -1224,6 +1228,33 @@ mod tests {
         let unpruned = sim.lane_plan(false, &universe);
         assert!(unpruned.batches.is_empty());
         assert_eq!(unpruned.work.len(), universe.len());
+    }
+
+    #[test]
+    fn fault_cost_counts_the_deviation_rows_at_512_words() {
+        use sram_model::cell::CellCoord;
+        use sram_model::{DecoderFault, DecoderFaultKind};
+        let sim = FaultSimulator::new(MemConfig::new(512, 4).unwrap());
+        let stuck_open = |row| MemoryFault::cell(CellCoord::new(Address::new(row), 1), CellFault::StuckOpen);
+        let decoder = |kind| MemoryFault::decoder(DecoderFault::new(Address::new(40), kind));
+        let cases = [
+            (stuck_open(0), 3),
+            (stuck_open(200), 5),
+            (stuck_open(511), 3),
+            (decoder(DecoderFaultKind::NoAccess), 1),
+            (decoder(DecoderFaultKind::MapsTo(Address::new(300))), 2),
+            (decoder(DecoderFaultKind::MapsTo(Address::new(40))), 1),
+            (decoder(DecoderFaultKind::AlsoAccesses(Address::new(7))), 2),
+            (MemoryFault::stuck_at_1(CellCoord::new(Address::new(9), 0)), 1),
+        ];
+        for (fault, cost) in cases {
+            assert_eq!(sim.fault_cost(true, &fault), cost, "{fault}");
+            assert_eq!(
+                sim.fault_cost(false, &fault),
+                512,
+                "{fault} with a failing golden run"
+            );
+        }
     }
 
     #[test]

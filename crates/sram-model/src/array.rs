@@ -64,8 +64,8 @@ pub struct Sram {
     decoder: AddressDecoder,
     trace: OperationTrace,
     retention: RetentionModel,
-    /// Last value seen by the sense amplifiers; returned when a
-    /// no-access decoder fault leaves the bitlines floating.
+    /// Last value seen by the sense amplifiers; a stuck-open cell echoes
+    /// its bit of it on a read.
     last_sense: DataWord,
     /// Victim index: aggressor coordinate -> victims coupled to it.
     coupling_index: BTreeMap<(u64, usize), Vec<CellCoord>>,

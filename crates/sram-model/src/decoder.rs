@@ -18,7 +18,8 @@ use std::fmt;
 #[non_exhaustive]
 pub enum DecoderFaultKind {
     /// AF1: the address activates no word line; writes are lost and reads
-    /// return the sense amplifier's previous value.
+    /// return the precharged all-ones word (no cell discharges the
+    /// bitlines).
     NoAccess,
     /// AF2: the address activates a different row instead of its own.
     MapsTo(Address),
@@ -49,6 +50,28 @@ impl DecoderFault {
     /// Creates a decoder fault.
     pub fn new(address: Address, kind: DecoderFaultKind) -> Self {
         DecoderFault { address, kind }
+    }
+
+    /// Every physical row whose observable behaviour this fault can
+    /// influence, ascending and distinct: the corrupted address itself
+    /// plus the redirected/extra row it drags in (`[address]` alone for
+    /// a no-access fault, or when the target is the address itself).
+    ///
+    /// The set is exact. Accesses to any other address decode to exactly
+    /// their own row and neither read nor write the rows listed here; a
+    /// no-access read returns the precharged all-ones word regardless of
+    /// history, and the wired-AND of a multi-access read only combines
+    /// rows in the set. So a sweep restricted to these rows, in the full
+    /// sweep's order, observes every deviation the full sweep would.
+    pub fn deviation_rows(&self) -> Vec<Address> {
+        match self.kind {
+            DecoderFaultKind::NoAccess => vec![self.address],
+            DecoderFaultKind::MapsTo(target) | DecoderFaultKind::AlsoAccesses(target) => {
+                let mut rows = vec![self.address.min(target), self.address.max(target)];
+                rows.dedup();
+                rows
+            }
+        }
     }
 }
 
@@ -132,25 +155,15 @@ impl AddressDecoder {
         !self.faults.is_empty()
     }
 
-    /// Every physical row whose observable behaviour a decoder fault can
-    /// influence, in ascending order: the corrupted address itself plus
-    /// the redirected/extra row it drags in. Accesses to any other
-    /// address decode to exactly their own row and neither read nor
-    /// write the rows listed here, so the deviation set is exact — a
-    /// no-access read returns the precharged all-ones word regardless of
-    /// history, and the wired-AND of a multi-access read only combines
-    /// rows in the set with the accessed row itself.
+    /// The union of every injected fault's
+    /// [`DecoderFault::deviation_rows`], in ascending order.
     pub fn deviation_rows(&self) -> Vec<u64> {
-        let mut rows: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for (&address, kind) in &self.faults {
-            rows.insert(address);
-            match kind {
-                DecoderFaultKind::NoAccess => {}
-                DecoderFaultKind::MapsTo(target) | DecoderFaultKind::AlsoAccesses(target) => {
-                    rows.insert(target.index());
-                }
-            }
-        }
+        let rows: std::collections::BTreeSet<u64> = self
+            .faults
+            .iter()
+            .flat_map(|(&address, &kind)| DecoderFault::new(Address::new(address), kind).deviation_rows())
+            .map(|row| row.index())
+            .collect();
         rows.into_iter().collect()
     }
 }
@@ -245,6 +258,24 @@ mod tests {
             .unwrap();
         decoder.clear_faults();
         assert_eq!(decoder.activated_rows(Address::new(5)), vec![Address::new(5)]);
+    }
+
+    #[test]
+    fn deviation_rows_are_the_address_plus_its_target() {
+        let rows = |kind| DecoderFault::new(Address::new(5), kind).deviation_rows();
+        assert_eq!(rows(DecoderFaultKind::NoAccess), vec![Address::new(5)]);
+        assert_eq!(
+            rows(DecoderFaultKind::MapsTo(Address::new(2))),
+            vec![Address::new(2), Address::new(5)]
+        );
+        assert_eq!(
+            rows(DecoderFaultKind::AlsoAccesses(Address::new(9))),
+            vec![Address::new(5), Address::new(9)]
+        );
+        assert_eq!(
+            rows(DecoderFaultKind::MapsTo(Address::new(5))),
+            vec![Address::new(5)]
+        );
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! Stuck-open cells (sense-amplifier history) and address-decoder
 //! faults (whole-row aliasing) are not expressible per-lane and stay on
 //! the per-fault path — the caller's batcher must route them there; see
-//! [`LanePlanes::supports`].
+//! [`LanePlanes::supports`]. That path is still row-pruned: a stuck-open
+//! cell needs at most five rows swept and a decoder fault its
+//! [`crate::DecoderFault::deviation_rows`], so these classes cost a
+//! handful of rows each, not a whole-memory sweep.
 //!
 //! The equivalence contract — each lane's observable behaviour is
 //! bit-identical to a dedicated [`crate::Sram`] carrying only that
@@ -260,7 +263,9 @@ impl LanePlanes {
     /// True if the lane transposition can express this fault at this
     /// cell. Stuck-open faults need sense-amplifier history and
     /// self-coupled cells (victim == aggressor) would make the
-    /// aggressor non-broadcast; both stay on the per-fault path.
+    /// aggressor non-broadcast; both stay on the per-fault path, which
+    /// sweeps only their few deviation rows (address-decoder faults,
+    /// which are not cell faults, go there too).
     pub fn supports(coord: CellCoord, fault: &CellFault) -> bool {
         match fault {
             CellFault::StuckOpen => false,

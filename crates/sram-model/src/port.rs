@@ -39,11 +39,13 @@ pub enum AccessProfile {
     /// listed rows include coupling aggressors, whose write transitions
     /// drive victim cells elsewhere).
     RowLocal(Vec<u64>),
-    /// No structural guarantee — e.g. address-decoder faults (one
-    /// access can touch several rows) or stuck-open cells (reads echo
-    /// the sense amplifier's previous value, whatever row it served).
+    /// No structural guarantee — e.g. stuck-open cells (reads echo the
+    /// sense amplifier's previous value, whatever row it served).
     /// Every operation must be performed. This is the conservative
     /// default for implementations that do not classify themselves.
+    /// (Decoder faults are not an example: their deviation rows are
+    /// exact, so [`crate::Sram::access_profile`] reports them
+    /// [`AccessProfile::RowLocal`].)
     Opaque,
 }
 
