@@ -45,6 +45,10 @@
 //!   oracle ([`FaultSimulator::with_kernel`] selects it). Outcomes are unpacked back into
 //!   exact universe order, so the kernels are byte-identical — the
 //!   `lane_kernel_equivalence` suite proves it per fault class.
+//!   Coverage runs ([`FaultSimulator::coverage_schedule_with`]) keep
+//!   only each fault's detected/located verdict, which the lane kernel
+//!   reads straight off its replay log, so lane batches build no
+//!   failure record just to drop it.
 //! * **Sharded** — the universe runs on the deterministic executor
 //!   ([`ShardPlan::map_slots`]): the shardable items are the lane
 //!   batches plus the per-fault singles (or every fault alone under
@@ -63,6 +67,7 @@ use crate::ops::{AddressOrder, MarchOp, MarchTest};
 use crate::schedule::{MarchSchedule, SchedulePatterns, SchedulePhase};
 use crate::shard::{failpoint, CostCalibration, CostDomain, ExecError, RunToken, ShardPlan};
 use fault_models::{FaultList, MemoryFault};
+use sram_model::cell::CellCoord;
 use sram_model::{Address, CellFault, FailingBits, LanePlanes, MemConfig, Sram};
 use std::collections::BTreeMap;
 
@@ -144,6 +149,13 @@ enum LaneWork {
     Batch(usize),
     /// A per-fault fallback (universe index).
     Single(usize),
+}
+
+/// What a coverage run keeps of one fault's simulation.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    detected: bool,
+    located: bool,
 }
 
 /// The lane batcher's output: a partition of the universe into lane
@@ -450,17 +462,17 @@ impl FaultSimulator {
         LanePlan { batches, work }
     }
 
-    /// Simulates one lane batch: packs each fault into its lane of a
-    /// fresh [`LanePlanes`], replays the schedule once over the union
-    /// of the batch's pruned rows, and classifies each lane's outcome.
-    /// Returned outcomes parallel `batch.lanes`.
-    fn simulate_lane_batch(
+    /// Packs each fault of a lane batch into its lane of the worker's
+    /// reused [`LanePlanes`] and replays the schedule once over the
+    /// union of the batch's pruned rows, leaving the deviating-read log
+    /// in `scratch`. Returns the accrued pause time.
+    fn replay_lane_batch(
         &self,
         prep: &UniversePrep<'_>,
         universe: &FaultList,
         batch: &LaneBatch,
         scratch: &mut LaneScratch,
-    ) -> Vec<FaultSimOutcome> {
+    ) -> f64 {
         let mut planes = match scratch.planes.take() {
             Some(mut planes) if planes.config() == self.config => {
                 planes.reset();
@@ -475,15 +487,23 @@ impl FaultSimulator {
             }
         }
         planes.freeze();
-        let (lane_failures, pause_ms) = run_schedule_lanes(
-            &mut planes,
-            prep.schedule,
-            &prep.patterns,
-            &batch.rows,
-            batch.lanes.len(),
-            scratch,
-        );
+        let pause_ms = replay_lanes(&mut planes, prep.schedule, &prep.patterns, &batch.rows, scratch);
         scratch.planes = Some(planes);
+        pause_ms
+    }
+
+    /// Simulates one lane batch ([`Self::replay_lane_batch`]), unpacks
+    /// each lane's failure records from the replay log and classifies
+    /// each lane's outcome. Returned outcomes parallel `batch.lanes`.
+    fn simulate_lane_batch(
+        &self,
+        prep: &UniversePrep<'_>,
+        universe: &FaultList,
+        batch: &LaneBatch,
+        scratch: &mut LaneScratch,
+    ) -> Vec<FaultSimOutcome> {
+        let pause_ms = self.replay_lane_batch(prep, universe, batch, scratch);
+        let lane_failures = lane_failures(prep.schedule, &prep.patterns, batch.lanes.len(), scratch);
         batch
             .lanes
             .iter()
@@ -497,6 +517,53 @@ impl FaultSimulator {
                     pause_ms,
                 };
                 self.classify(&universe.as_slice()[index], run)
+            })
+            .collect()
+    }
+
+    /// The coverage-only form of [`Self::simulate_lane_batch`]: each
+    /// lane's verdict read straight off the replay log, with no failure
+    /// record built. A lane is detected when any logged read deviates
+    /// in it, and located when one of those deviations is at its own
+    /// fault cell — the predicates [`Self::classify`] applies to the
+    /// records the lane's run would produce (one per deviating read,
+    /// flagging the lane's deviating bits). Returned verdicts parallel
+    /// `batch.lanes`.
+    fn lane_batch_verdicts(
+        &self,
+        prep: &UniversePrep<'_>,
+        universe: &FaultList,
+        batch: &LaneBatch,
+        scratch: &mut LaneScratch,
+    ) -> Vec<Verdict> {
+        self.replay_lane_batch(prep, universe, batch, scratch);
+        let cells: Vec<CellCoord> = batch
+            .lanes
+            .iter()
+            .map(|&index| match &universe.as_slice()[index] {
+                MemoryFault::Cell { coord, .. } => *coord,
+                MemoryFault::Decoder(_) => unreachable!("batcher routes decoder faults to singles"),
+            })
+            .collect();
+        let mut detected = 0u64;
+        let mut located = 0u64;
+        for event in &scratch.events {
+            detected |= event.lanes;
+            for &(bit, mask) in &scratch.pairs[event.pairs_start as usize..event.pairs_end as usize] {
+                let mut lanes = mask & !located;
+                while lanes != 0 {
+                    let lane = lanes.trailing_zeros() as usize;
+                    if cells[lane] == CellCoord::new(event.address, bit) {
+                        located |= 1 << lane;
+                    }
+                    lanes &= lanes - 1;
+                }
+            }
+        }
+        (0..batch.lanes.len())
+            .map(|lane| Verdict {
+                detected: (detected >> lane) & 1 == 1,
+                located: (located >> lane) & 1 == 1,
             })
             .collect()
     }
@@ -588,25 +655,47 @@ impl FaultSimulator {
         universe: &FaultList,
     ) -> Vec<FaultSimOutcome> {
         let lane_plan = self.lane_plan(prep.golden_passed, universe);
-        let item_outcomes = plan.map_slots(
+        let item_outcomes = self.run_lane_work(
+            plan,
+            prep,
+            universe,
+            &lane_plan,
+            |batch, scratch| self.simulate_lane_batch(prep, universe, batch, scratch),
+            |outcome| outcome,
+        );
+        scatter_lane_outcomes(&lane_plan, universe.len(), item_outcomes)
+    }
+
+    /// Runs a lane plan's work items on the executor: each lane batch
+    /// through `batch`, each per-fault single through the (row-pruned)
+    /// per-fault path and then `single`. Returns one result vector per
+    /// work item, in work order.
+    fn run_lane_work<R: Send>(
+        &self,
+        plan: ShardPlan,
+        prep: &UniversePrep<'_>,
+        universe: &FaultList,
+        lane_plan: &LanePlan,
+        batch: impl Fn(&LaneBatch, &mut LaneScratch) -> Vec<R> + Sync,
+        single: impl Fn(FaultSimOutcome) -> R + Sync,
+    ) -> Vec<Vec<R>> {
+        plan.map_slots(
             &lane_plan.work,
             |_, &work| {
                 CostCalibration::MEASURED.cost(
                     CostDomain::FaultSim,
-                    self.work_cost(&lane_plan, prep.golden_passed, universe, work),
+                    self.work_cost(lane_plan, prep.golden_passed, universe, work),
                 )
             },
             || (Sram::new(self.config), LaneScratch::default()),
             |(sram, scratch), _, &work| match work {
-                LaneWork::Batch(batch) => {
-                    self.simulate_lane_batch(prep, universe, &lane_plan.batches[batch], scratch)
-                }
+                LaneWork::Batch(index) => batch(&lane_plan.batches[index], scratch),
                 LaneWork::Single(index) => {
-                    vec![self.simulate_fault_batched(sram, prep, &universe.as_slice()[index])]
+                    let fault = &universe.as_slice()[index];
+                    vec![single(self.simulate_fault_batched(sram, prep, fault))]
                 }
             },
-        );
-        scatter_lane_outcomes(&lane_plan, universe.len(), item_outcomes)
+        )
     }
 
     /// Fallible [`FaultSimulator::simulate_universe_with`]: the same
@@ -802,19 +891,54 @@ impl FaultSimulator {
     }
 
     /// Coverage of a schedule over a universe under an explicit shard
-    /// plan. Per-fault outcomes fold into the report associatively, so
+    /// plan. Per-fault verdicts fold into the report associatively, so
     /// the merged result equals the sequential one for every plan (the
     /// sharded-determinism suite also folds per-shard reports through
     /// [`CoverageReport::merge`] and asserts the same).
+    ///
+    /// Under the lane kernel the batches report verdicts only
+    /// ([`Self::lane_batch_verdicts`]); the report equals the fold of
+    /// [`Self::simulate_universe_with`]'s outcomes, which a unit test
+    /// and the `lane_kernel_equivalence` suite (against the per-memory
+    /// kernel) assert.
     pub fn coverage_schedule_with(
         &self,
         plan: ShardPlan,
         schedule: &MarchSchedule,
         universe: &FaultList,
     ) -> CoverageReport {
+        let prep = self.prepare(schedule);
+        let faults = universe.as_slice();
         let mut report = CoverageReport::new(schedule.name());
-        for outcome in self.simulate_universe_with(plan, schedule, universe) {
-            report.record(outcome.fault.class(), outcome.detected, outcome.located);
+        match self.kernel {
+            FaultSimKernel::PerMemory => {
+                for outcome in self.simulate_universe_permem(plan, &prep, universe) {
+                    report.record(outcome.fault.class(), outcome.detected, outcome.located);
+                }
+            }
+            FaultSimKernel::Lanes => {
+                let lane_plan = self.lane_plan(prep.golden_passed, universe);
+                let item_verdicts = self.run_lane_work(
+                    plan,
+                    &prep,
+                    universe,
+                    &lane_plan,
+                    |batch, scratch| self.lane_batch_verdicts(&prep, universe, batch, scratch),
+                    |outcome| Verdict {
+                        detected: outcome.detected,
+                        located: outcome.located,
+                    },
+                );
+                for (work, verdicts) in lane_plan.work.iter().zip(item_verdicts) {
+                    let indices = match work {
+                        LaneWork::Batch(batch) => lane_plan.batches[*batch].lanes.as_slice(),
+                        LaneWork::Single(index) => std::slice::from_ref(index),
+                    };
+                    for (&index, verdict) in indices.iter().zip(verdicts) {
+                        report.record(faults[index].class(), verdict.detected, verdict.located);
+                    }
+                }
+            }
         }
         report
     }
@@ -860,18 +984,10 @@ fn sorted_distinct(mut rows: Vec<Address>) -> Vec<Address> {
     rows
 }
 
-/// Replays a schedule once on a lane memory, restricted to `rows` —
-/// the lane-parallel mirror of the engine's restricted sweep
-/// ([`MarchRunner::run_schedule_rows`]): ascending elements visit the
-/// rows ascending, descending elements descending, retention pauses
-/// apply once per element before its sweep. Returns each lane's
-/// failure records (detection order, identical to what a per-fault
-/// restricted run over that lane's own rows would record) and the
-/// accrued pause time (identical for every lane).
 /// One deviating read of a lane-batch replay: enough context to
 /// rebuild, per lane, the exact failure record the lane's own per-fault
 /// run would have produced. Replay appends these to a flat log instead
-/// of materialising records inline — see [`run_schedule_lanes`].
+/// of materialising records inline — see [`replay_lanes`].
 struct ReadEvent {
     phase: u32,
     element: u32,
@@ -902,21 +1018,28 @@ struct LaneScratch {
     lane_events: Vec<Vec<u32>>,
 }
 
-fn run_schedule_lanes(
+/// Replays a schedule once on a lane memory, restricted to `rows` —
+/// the lane-parallel mirror of the engine's restricted sweep
+/// ([`MarchRunner::run_schedule_rows`]): ascending elements visit the
+/// rows ascending, descending elements descending, retention pauses
+/// apply once per element before its sweep. Leaves the deviating reads
+/// in `scratch` (for [`lane_failures`], or the coverage-only
+/// [`FaultSimulator::lane_batch_verdicts`]) and returns the accrued
+/// pause time (identical for every lane).
+fn replay_lanes(
     planes: &mut LanePlanes,
     schedule: &MarchSchedule,
     patterns: &SchedulePatterns,
     rows: &[Address],
-    lane_count: usize,
     scratch: &mut LaneScratch,
-) -> (Vec<Vec<FailureRecord>>, f64) {
+) -> f64 {
     debug_assert!(
         rows.windows(2).all(|pair| pair[0] < pair[1]),
         "restricted rows must be ascending and distinct"
     );
     // Replay records nothing: deviating reads are appended to a flat
     // log, and the failure records are materialised in a per-lane
-    // post-pass below. Building each lane's records contiguously
+    // post-pass ([`lane_failures`]). Building each lane's records contiguously
     // instead of scattering pushes across up to 64 sinks inside the
     // replay loop keeps the lane kernel's record cost near the
     // straight-line `Vec<FailureRecord>` fill cost.
@@ -974,6 +1097,19 @@ fn run_schedule_lanes(
             }
         }
     }
+    pause_ms
+}
+
+/// The post-pass of a lane replay: unpacks the deviating-read log
+/// [`replay_lanes`] left in `scratch` into the exact failure records
+/// each of the first `lane_count` lanes' own per-fault run would
+/// produce.
+fn lane_failures(
+    schedule: &MarchSchedule,
+    patterns: &SchedulePatterns,
+    lane_count: usize,
+    scratch: &mut LaneScratch,
+) -> Vec<Vec<FailureRecord>> {
     // Bucket event indices by lane so each lane's build walks only its
     // own events, not the whole log.
     scratch.lane_events.iter_mut().for_each(Vec::clear);
@@ -1024,7 +1160,7 @@ fn run_schedule_lanes(
             });
         }
     }
-    (failures, pause_ms)
+    failures
 }
 
 #[cfg(test)]
@@ -1188,6 +1324,55 @@ mod tests {
             .with_kernel(FaultSimKernel::PerMemory)
             .simulate_universe(&schedule, &universe);
         assert_eq!(lanes, permem);
+    }
+
+    #[test]
+    fn coverage_folds_exactly_the_simulated_outcomes() {
+        // Lane-kernel coverage reads each lane's verdict off the replay
+        // log instead of building failure records. The report must still
+        // equal the fold of the full outcomes under every plan, for a
+        // schedule that misses faults and for one whose golden run fails.
+        use crate::ops::MarchElement;
+        use crate::shard::ShardStrategy;
+        let sim = FaultSimulator::new(config());
+        let mut faults = universe().date2005_full();
+        faults.extend(universe().read_disturb());
+        faults.extend(universe().stuck_open());
+        let read_before_write = MarchTest::new(
+            "read-before-write",
+            vec![MarchElement::new(
+                AddressOrder::Either,
+                vec![MarchOp::Read(true), MarchOp::Write(true)],
+            )],
+        );
+        let schedules = [
+            algorithms::march_cw(4),
+            MarchSchedule::single(algorithms::mats_plus(), DataBackground::Solid),
+            MarchSchedule::single(read_before_write, DataBackground::Solid),
+        ];
+        for schedule in &schedules {
+            let mut expected = CoverageReport::new(schedule.name());
+            for outcome in sim.simulate_universe_with(ShardPlan::sequential(), schedule, &faults) {
+                expected.record(outcome.fault.class(), outcome.detected, outcome.located);
+            }
+            assert!(expected.detected() > 0 && expected.located() > 0);
+            for plan in [
+                ShardPlan::sequential(),
+                ShardPlan::with_threads(2),
+                ShardPlan::with_threads(3).with_strategy(ShardStrategy::Steal),
+            ] {
+                assert_eq!(
+                    sim.coverage_schedule_with(plan, schedule, &faults),
+                    expected,
+                    "{} under {plan:?}",
+                    schedule.name()
+                );
+            }
+        }
+        // MATS+ misses some of these faults, so the verdicts are not
+        // all alike.
+        let mats = sim.coverage_schedule_with(ShardPlan::sequential(), &schedules[1], &faults);
+        assert!(mats.detected() < mats.total());
     }
 
     #[test]
